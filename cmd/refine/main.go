@@ -1,9 +1,9 @@
 // Command refine runs the anytime solver portfolio over a greedy
 // minimization result: deterministic local search, seeded simulated
-// annealing, bounded branch-and-bound, and large-neighborhood
-// destroy/repair race under one wall budget, and the best plan that passes
-// the independent verifier wins. The output is the before/after cell count
-// plus each solver's search statistics.
+// annealing and large-neighborhood destroy/repair race under one wall
+// budget, and the best plan that passes the independent verifier wins.
+// The output is the before/after cell count plus each solver's search
+// statistics.
 //
 // Usage:
 //
@@ -11,7 +11,6 @@
 //	refine -netlist die.bench                    # your own die
 //	refine -profile b12/1 -budget 10s -seed 7    # deeper, reproducible
 //	refine -profile b12/1 -strategies local,lns  # subset of the portfolio
-//	refine -profile b20/1 -candidates 32         # wider merge candidate lists
 //	refine -profile b12/1 -crosscheck            # audit the incremental evaluator
 //	refine -profile b12/1 -json                  # machine-readable report
 //
@@ -45,10 +44,8 @@ func main() {
 		seed       = flag.Int64("seed", 1, "generation / placement seed; also drives the annealer RNG")
 		budget     = flag.Duration("budget", 0, "wall budget for the portfolio (0 = default)")
 		steps      = flag.Int("steps", 0, "per-strategy step budget (0 = per-strategy default; fixed steps make runs reproducible)")
-		strategies = flag.String("strategies", "", `comma-separated subset of "local,anneal,bnb,lns" (empty = all; duplicates collapse)`)
+		strategies = flag.String("strategies", "", `comma-separated subset of "local,anneal,lns" (empty = all; duplicates collapse)`)
 		workers    = flag.Int("workers", 0, "solver parallelism (0 = GOMAXPROCS)")
-		candidates = flag.Int("candidates", 0, "merge-partner candidate list size per block (0 = default)")
-		restarts   = flag.Int("restarts", 0, "restart rounds for local search / reheat segments for anneal (0 = per-strategy default)")
 		crosscheck = flag.Bool("crosscheck", false, "audit every incremental move against a full rematch (slow; debug)")
 		asJSON     = flag.Bool("json", false, "emit the machine-readable report (service schema)")
 	)
@@ -58,8 +55,6 @@ func main() {
 		Seed:       *seed,
 		MaxSteps:   *steps,
 		Workers:    *workers,
-		CandidateK: *candidates,
-		Restarts:   *restarts,
 		CrossCheck: *crosscheck,
 	}
 	if err := run(os.Stdout, *profile, *netPath, *method, *timing, ro, *strategies, *asJSON); err != nil {

@@ -29,7 +29,7 @@ func TestRunTextOutput(t *testing.T) {
 	if !strings.Contains(out, "refined:") {
 		t.Fatalf("missing refined line:\n%s", out)
 	}
-	for _, s := range []string{"local", "anneal", "bnb", "lns"} {
+	for _, s := range []string{"local", "anneal", "lns"} {
 		if !strings.Contains(out, s) {
 			t.Fatalf("missing %s statistics line:\n%s", s, out)
 		}
@@ -112,11 +112,16 @@ func TestRunStrategyList(t *testing.T) {
 		}
 	})
 	t.Run("unknown name errors", func(t *testing.T) {
-		var buf bytes.Buffer
-		ro := wcm3d.RefineOptions{Seed: 1, Budget: time.Second}
-		err := run(&buf, "b11/0", "", "ours", "tight", ro, "bogus", false)
-		if err == nil || !strings.Contains(err.Error(), `unknown strategy "bogus"`) {
-			t.Fatalf("err = %v, want unknown-strategy error", err)
+		for _, tc := range []struct{ list, want string }{
+			{"bogus", `unknown strategy "bogus"`},
+			{"bnb", `unknown strategy "bnb" (known: anneal, lns, local)`},
+		} {
+			var buf bytes.Buffer
+			ro := wcm3d.RefineOptions{Seed: 1, Budget: time.Second}
+			err := run(&buf, "b11/0", "", "ours", "tight", ro, tc.list, false)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("-strategies %s: err = %v, want %q", tc.list, err, tc.want)
+			}
 		}
 	})
 }

@@ -25,16 +25,20 @@ func (annealer) Name() string { return "anneal" }
 const (
 	annealTStart = 1.0
 	annealTEnd   = 0.02
-	// annealSegments is the default reheat count when Options.Restarts
-	// is zero.
+	// annealSegments is the number of reheat segments the step budget
+	// splits into.
 	annealSegments = 4
+	// defaultAnnealSteps is the step budget when Config.MaxSteps is zero —
+	// sized so tiny and mid-size dies finish the schedule well inside
+	// DefaultBudget.
+	defaultAnnealSteps = 60000
 )
 
 func (annealer) Refine(ctx context.Context, p *Problem, start *Solution, cfg Config, emit func(*Solution) bool) (int, error) {
-	segments := cfg.Restarts
-	if segments <= 0 {
-		segments = annealSegments
+	if cfg.MaxSteps <= 0 {
+		cfg.MaxSteps = defaultAnnealSteps
 	}
+	segments := annealSegments
 	segSteps := cfg.MaxSteps / segments
 	if segSteps < 1 {
 		segSteps = cfg.MaxSteps

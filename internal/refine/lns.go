@@ -2,6 +2,7 @@ package refine
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -30,6 +31,9 @@ const (
 )
 
 func (lns) Refine(ctx context.Context, p *Problem, start *Solution, cfg Config, emit func(*Solution) bool) (int, error) {
+	if cfg.MaxSteps <= 0 {
+		cfg.MaxSteps = math.MaxInt // the fruitless cutoff ends the search
+	}
 	e := newEvaluator(p, start.clone())
 	e.crossCheck = cfg.CrossCheck
 	incumbent := start.cells(p)

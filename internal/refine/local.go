@@ -2,6 +2,7 @@ package refine
 
 import (
 	"context"
+	"math"
 	"math/rand"
 )
 
@@ -29,6 +30,9 @@ const localFruitlessRounds = 2
 const restartSeedStride = 1000003
 
 func (localSearch) Refine(ctx context.Context, p *Problem, start *Solution, cfg Config, emit func(*Solution) bool) (int, error) {
+	if cfg.MaxSteps <= 0 {
+		cfg.MaxSteps = math.MaxInt // the fruitless cutoff ends the search
+	}
 	e := newEvaluator(p, start.clone())
 	e.crossCheck = cfg.CrossCheck
 	d := &descender{ctx: ctx, p: p, e: e, cfg: cfg, incumbent: start.cells(p), emit: emit}
@@ -40,9 +44,6 @@ func (localSearch) Refine(ctx context.Context, p *Problem, start *Solution, cfg 
 	}
 	fruitless := 0
 	for round := 0; fruitless < localFruitlessRounds && !d.done(); round++ {
-		if cfg.Restarts > 0 && round >= cfg.Restarts {
-			break
-		}
 		d.cur = e.cells()
 		d.roundBest = d.cur
 		d.committed = false
@@ -196,7 +197,7 @@ func (d *descender) mergeSweep(pi int) bool {
 		pass = false
 		var cands [][]int32
 		if len(*blocks) > smallPhaseFullSweep {
-			cands = mergeCandidates(d.p, d.e.s, pi, d.cfg.CandidateK)
+			cands = mergeCandidates(d.p, d.e.s, pi)
 		}
 		for bi := 0; bi < len(*blocks) && !d.done(); bi++ {
 			partners := d.allPartners(len(*blocks))

@@ -4,10 +4,10 @@ package refine
 // phases) on the left, the global flip-flop table on the right, an edge
 // where the flip-flop's phase-local adjacency covers the whole block. Kuhn's
 // augmenting paths — the same algorithm the exhaustive oracle uses for its
-// leaf scoring — computes it; the solvers call augmentAll after every
-// structural move, which makes "FF reassignment via augmenting paths" a
-// built-in part of the move set: stealing a flip-flop from a block that can
-// recover elsewhere is exactly an augmenting path.
+// leaf scoring — compute it here from scratch. No solver runs this path:
+// they score moves with the incremental evaluator (eval.go). augmentAll is
+// the reference rematch behind referenceCells, which the evaluator's
+// property tests and the CrossCheck audit compare against.
 
 // matcher holds the owner index (global flip-flop → block) rebuilt per
 // augmentation round.

@@ -7,7 +7,7 @@
 // package exists to close those gaps on real dies, where the oracle cannot
 // run.
 //
-// Four strategies implement one Refiner interface and race concurrently:
+// Three strategies implement one Refiner interface and race concurrently:
 //
 //   - local:  deterministic first-improvement descent — candidate-list
 //     block merges, single-item relocations, and split-and-remerge kicks,
@@ -15,13 +15,10 @@
 //   - anneal: simulated annealing over the same move set, driven by a
 //     seeded RNG (bit-reproducible for a fixed seed and step budget),
 //     reheated from its own best in restart segments.
-//   - bnb:    bounded branch-and-bound — per-phase exhaustive
-//     re-partitioning with the greedy cost as incumbent, for phases small
-//     enough to enumerate.
 //   - lns:    large-neighborhood destroy/repair — evict a cluster of
 //     blocks, greedily repack, keep strict improvements.
 //
-// All but bnb score moves with the incremental evaluator (eval.go): moves
+// All three score moves with the incremental evaluator (eval.go): moves
 // apply in place, targeted augmenting paths repair the flip-flop matching,
 // and a journal reverts rejected trials — no per-trial clone or full
 // rematch, which is what lets sweeps finish on b20-class dies inside the
@@ -53,11 +50,6 @@ import (
 // DefaultBudget is the wall-clock deadline when Options.Budget is zero.
 const DefaultBudget = 2 * time.Second
 
-// defaultAnnealSteps is the annealer's step budget when Options.MaxSteps
-// is zero — sized so tiny and mid-size dies finish the schedule well inside
-// DefaultBudget.
-const defaultAnnealSteps = 60000
-
 // Options configures a refinement run.
 type Options struct {
 	// Budget bounds the wall time; zero means DefaultBudget. The
@@ -68,27 +60,17 @@ type Options struct {
 	// truncate a trajectory, never reorder it.
 	Seed int64
 	// MaxSteps bounds each strategy's search steps; zero picks
-	// per-strategy defaults. With a generous Budget, fixed MaxSteps make
-	// every strategy's outcome deterministic.
+	// per-strategy defaults (see Config). With a generous Budget, fixed
+	// MaxSteps make every strategy's outcome deterministic.
 	MaxSteps int
-	// Strategies selects which solvers race ("local", "anneal", "bnb",
-	// "lns"); nil or empty runs all of them. Duplicate names collapse to
+	// Strategies selects which solvers race ("local", "anneal", "lns");
+	// nil or empty runs all of them. Duplicate names collapse to
 	// the first occurrence — two copies of a strategy would replay the
 	// same deterministic trajectory on the same RNG stream.
 	Strategies []string
 	// Workers bounds the portfolio's concurrency; 0 means one worker per
 	// strategy (capped by GOMAXPROCS via internal/par).
 	Workers int
-	// CandidateK bounds each block's merge-partner candidate list in the
-	// scalable sweeps (local search, LNS cluster picking); 0 means
-	// defaultCandidateK. Larger k explores more pairs per round, smaller
-	// k finishes rounds faster on big dies.
-	CandidateK int
-	// Restarts caps the restart schedule: perturb-and-descend rounds for
-	// local search, reheat segments for the annealer. 0 picks
-	// per-strategy defaults (local restarts until two fruitless rounds,
-	// anneal splits its budget into annealSegments segments).
-	Restarts int
 	// CrossCheck re-scores every applied incremental move against a
 	// from-scratch rematch and panics on divergence — the debug mode for
 	// the incremental evaluator; orders of magnitude slower.
@@ -99,12 +81,10 @@ type Options struct {
 type Config struct {
 	// Seed drives any randomized decisions.
 	Seed int64
-	// MaxSteps bounds the strategy's search steps.
+	// MaxSteps bounds the strategy's search steps. Zero gives the
+	// annealer defaultAnnealSteps and leaves local search and LNS
+	// unbounded: they stop at their fruitless cutoffs.
 	MaxSteps int
-	// CandidateK bounds merge-partner candidate lists (see Options).
-	CandidateK int
-	// Restarts caps the restart schedule (see Options).
-	Restarts int
 	// CrossCheck enables the evaluator's full-rematch debug audit.
 	CrossCheck bool
 }
@@ -168,13 +148,12 @@ type Result struct {
 var strategyRegistry = map[string]Refiner{
 	"local":  localSearch{},
 	"anneal": annealer{},
-	"bnb":    branchBound{},
 	"lns":    lns{},
 }
 
 // defaultStrategyOrder fixes the portfolio's deterministic launch order
 // when Options.Strategies is empty.
-var defaultStrategyOrder = []string{"local", "anneal", "bnb", "lns"}
+var defaultStrategyOrder = []string{"local", "anneal", "lns"}
 
 // strategiesFor resolves the configured strategy names. Unknown names are
 // an error naming the known set; duplicates collapse to the first
@@ -278,7 +257,8 @@ func (a *arbiter) offer(strategy string, s *Solution) offerVerdict {
 // Run races the solver portfolio over the greedy plan and returns the best
 // verified plan found before the deadline — or the greedy plan unchanged.
 // An already-expired context short-circuits: the greedy assignment comes
-// back immediately, untouched. Run only returns an error for malformed
+// back immediately, untouched — as it does, with no strategy launched,
+// when the context expires during the setup. Run only returns an error for malformed
 // inputs; search-side failures degrade to the greedy plan.
 func Run(ctx context.Context, in wcm.Input, opts wcm.Options, greedy *wcm.Result, o Options) (*Result, error) {
 	if greedy == nil || greedy.Assignment == nil {
@@ -337,12 +317,18 @@ func Run(ctx context.Context, in wcm.Input, opts wcm.Options, greedy *wcm.Result
 		// search rather than risk a worse plan.
 		return res, nil
 	}
+	if ctx.Err() != nil {
+		// The caller's context expired during the timing refresh or the
+		// model build, neither of which looks at it: launch nothing.
+		return res, nil
+	}
 
 	// The deadline clock starts here, after the timing refresh and model
 	// build: the budget funds the *search*, not the problem construction —
 	// on b18/b20-class dies the STA refresh alone used to consume most of
-	// a 2 s budget before any strategy ran a single step. The caller's own
-	// context still caps the whole call, prep included.
+	// a 2 s budget before any strategy ran a single step. The setup itself
+	// is not interruptible; a context that expires during it is noticed
+	// only once it finishes, and then no strategy starts.
 	ctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 
@@ -352,23 +338,7 @@ func Run(ctx context.Context, in wcm.Input, opts wcm.Options, greedy *wcm.Result
 		r := refiners[i]
 		out := &outcomes[i]
 		out.Name = r.Name()
-		cfg := Config{
-			Seed:       o.Seed,
-			MaxSteps:   o.MaxSteps,
-			CandidateK: o.CandidateK,
-			Restarts:   o.Restarts,
-			CrossCheck: o.CrossCheck,
-		}
-		if cfg.MaxSteps <= 0 {
-			switch r.Name() {
-			case "anneal":
-				cfg.MaxSteps = defaultAnnealSteps
-			default:
-				// local and lns terminate through their fruitless
-				// cutoffs; bnb through its enumeration bound.
-				cfg.MaxSteps = 1 << 30
-			}
-		}
+		cfg := Config{Seed: o.Seed, MaxSteps: o.MaxSteps, CrossCheck: o.CrossCheck}
 		emit := func(s *Solution) bool {
 			out.Proposed++
 			switch arb.offer(r.Name(), s) {

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"wcm3d/internal/scan"
+	"wcm3d/internal/sta"
 	"wcm3d/internal/verify"
 	"wcm3d/internal/wcm"
 )
@@ -30,7 +32,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		seeds = seeds[:1]
 	}
-	for _, strategy := range []string{"local", "anneal", "bnb", "lns"} {
+	for _, strategy := range []string{"local", "anneal", "lns"} {
 		for _, seed := range seeds {
 			in := tinyDie(t, seed)
 			opts := wcm.DefaultOptions()
@@ -103,6 +105,39 @@ func TestExpiredContextReturnsGreedyUnchanged(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("expired context: Run blocked")
+	}
+}
+
+// TestContextExpiredDuringSetup pins the setup half of the deadline
+// contract: the timing refresh and model build do not look at the
+// context, so a context that expires while they run must be noticed
+// before any strategy launches — the greedy plan comes back unchanged
+// and no strategy reports.
+func TestContextExpiredDuringSetup(t *testing.T) {
+	in := tinyDie(t, 45)
+	opts := wcm.DefaultOptions()
+	greedy, err := wcm.Run(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	in.RefreshTiming = func(*scan.Assignment) (*sta.Result, error) {
+		cancel()
+		return in.Timing, nil
+	}
+	res, err := Run(ctx, in, opts, greedy, Options{Seed: 45, Budget: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Assignment != greedy.Assignment {
+		t.Error("assignment is not the greedy plan's")
+	}
+	if len(res.Strategies) != 0 {
+		t.Errorf("strategies launched on an expired context: %+v", res.Strategies)
+	}
+	if res.Improved || res.AdditionalCells != greedy.AdditionalCells {
+		t.Errorf("cells %d (improved %v), greedy %d", res.AdditionalCells, res.Improved, greedy.AdditionalCells)
 	}
 }
 

@@ -253,35 +253,15 @@ func Minimize(d *Die, m Method, mode TimingMode) (*MinimizeResult, error) {
 }
 
 // MinimizeWith runs the WCM engine with explicit options (see
-// wcm.Options); Minimize covers the paper's standard configurations. When
-// opts.Refine is set, the greedy plan is additionally handed to the solver
-// portfolio (see Refine) under opts.RefineBudget, and the best verified
-// plan replaces the result's assignment and counters.
+// wcm.Options); Minimize covers the paper's standard configurations. It
+// returns the greedy plan; Refine searches for a better one.
 func MinimizeWith(d *Die, opts MinimizeOptions) (*MinimizeResult, error) {
-	res, err := wcm.Run(d.Input(), opts)
-	if err != nil || !opts.Refine {
-		return res, err
-	}
-	rr, err := Refine(context.Background(), d, opts, res, RefineOptions{
-		Budget:     opts.RefineBudget,
-		Seed:       opts.RefineSeed,
-		Strategies: opts.RefineStrategies,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rr.Improved {
-		res.Assignment = rr.Assignment
-		res.AdditionalCells = rr.AdditionalCells
-		res.ReusedFFs = rr.ReusedFFs
-	}
-	return res, nil
+	return wcm.Run(d.Input(), opts)
 }
 
 // RefineOptions configures the anytime solver portfolio (see
 // internal/refine): wall budget, RNG seed, step budget, strategy subset,
-// candidate-list width, restart schedule, and the evaluator's cross-check
-// debug mode.
+// worker count, and the evaluator's cross-check debug mode.
 type RefineOptions = refine.Options
 
 // DefaultRefineBudget is the portfolio's wall budget when
@@ -293,12 +273,12 @@ const DefaultRefineBudget = refine.DefaultBudget
 type RefineResult = refine.Result
 
 // Refine races the solver portfolio — deterministic local search, seeded
-// simulated annealing, bounded branch-and-bound, large-neighborhood
-// destroy/repair — over a greedy
+// simulated annealing, large-neighborhood destroy/repair — over a greedy
 // minimization result and returns the best plan that passes the
 // independent verifier before the deadline. The result is never worse than
-// the input plan: an expired context or a fruitless search hands the
-// greedy assignment back unchanged. opts must be the configuration the
+// the input plan: a context that expires before the search starts, setup
+// included, or a fruitless search hands the greedy assignment back
+// unchanged. opts must be the configuration the
 // plan was produced with (it prices the sharing model and is the contract
 // candidates are verified against).
 func Refine(ctx context.Context, d *Die, opts MinimizeOptions, res *MinimizeResult, ro RefineOptions) (*RefineResult, error) {
