@@ -56,31 +56,6 @@ func (b *BitSet) IntersectCount(o *BitSet) int {
 	return c
 }
 
-// IntersectsExcluding reports whether the two sets share any member outside
-// the excluded set.
-func (b *BitSet) IntersectsExcluding(o, excl *BitSet) bool {
-	for i, w := range b.words {
-		if w&o.words[i]&^excl.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// IntersectCountExcluding counts shared members outside the excluded set.
-func (b *BitSet) IntersectCountExcluding(o, excl *BitSet) int {
-	c := 0
-	for i, w := range b.words {
-		c += bits.OnesCount64(w & o.words[i] &^ excl.words[i])
-	}
-	return c
-}
-
-// AndNot returns a new set holding the members of b absent from excl.
-func (b *BitSet) AndNot(excl *BitSet) *BitSet {
-	return b.AndNotInto(excl, &BitSet{words: make([]uint64, len(b.words)), n: b.n})
-}
-
 // AndNotInto writes the members of b absent from excl into dst (every
 // word of which is overwritten) and returns dst. dst must have the same
 // capacity as b; it is how pooled callers run the per-node cone masking
@@ -90,49 +65,6 @@ func (b *BitSet) AndNotInto(excl, dst *BitSet) *BitSet {
 		dst.words[i] = w &^ excl.words[i]
 	}
 	return dst
-}
-
-// WordSpan returns the half-open 64-bit-word range [lo, hi) outside which
-// the set is empty (0, 0 for an empty set). Cones are spatially local, so
-// pair tests bounded to the overlap of two spans skip most of the words a
-// full-width scan would touch.
-func (b *BitSet) WordSpan() (lo, hi int) {
-	hi = len(b.words)
-	for lo < hi && b.words[lo] == 0 {
-		lo++
-	}
-	for hi > lo && b.words[hi-1] == 0 {
-		hi--
-	}
-	return lo, hi
-}
-
-// IntersectsSpan is Intersects restricted to words [lo, hi) — callers
-// pass the overlap of the two sets' WordSpans for the same answer at a
-// fraction of the scan.
-func (b *BitSet) IntersectsSpan(o *BitSet, lo, hi int) bool {
-	for i := lo; i < hi; i++ {
-		if b.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// IntersectCountSpan is IntersectCount restricted to words [lo, hi).
-func (b *BitSet) IntersectCountSpan(o *BitSet, lo, hi int) int {
-	c := 0
-	for i := lo; i < hi; i++ {
-		c += bits.OnesCount64(b.words[i] & o.words[i])
-	}
-	return c
-}
-
-// Or merges o into b.
-func (b *BitSet) Or(o *BitSet) {
-	for i, w := range o.words {
-		b.words[i] |= w
-	}
 }
 
 // Members returns the member IDs in ascending order.
@@ -146,11 +78,6 @@ func (b *BitSet) Members() []SignalID {
 		}
 	}
 	return out
-}
-
-// Clone returns a copy.
-func (b *BitSet) Clone() *BitSet {
-	return &BitSet{words: append([]uint64(nil), b.words...), n: b.n}
 }
 
 // FaninCone returns the combinational fan-in cone of a signal: the signal
@@ -308,17 +235,4 @@ func (cs *ConeSet) Fanout(s SignalID) *BitSet {
 		cs.fanout[s] = c
 	}
 	return c
-}
-
-// FanoutOverlap reports whether the fan-out cones of two signals share any
-// gate — the condition the paper's Algorithm 1 tests before allowing a scan
-// flip-flop to be shared "safely" with an inbound TSV.
-func (cs *ConeSet) FanoutOverlap(a, b SignalID) bool {
-	return cs.Fanout(a).Intersects(cs.Fanout(b))
-}
-
-// FaninOverlap reports whether the fan-in cones of two signals share any
-// gate — the analogous condition on the observation side (outbound TSVs).
-func (cs *ConeSet) FaninOverlap(a, b SignalID) bool {
-	return cs.Fanin(a).Intersects(cs.Fanin(b))
 }

@@ -70,8 +70,8 @@ type phaseIndex struct {
 	// member's row covers the block mask.
 	adj []bitset
 
-	// maxLen is the largest member count a block can hold under the
-	// accumulated-load budget (k·ItemLoadFF < CapThFF).
+	// maxLen is the largest member count a block can hold: the share
+	// model's MaxMembers, the greedy partitioner's own load bound.
 	maxLen int
 
 	// ffs are the reuse candidates of this phase; itemFFs[i] lists the
@@ -115,14 +115,7 @@ func newProblem(in wcm.Input, opts wcm.Options, model *wcm.ShareModel, greedy *w
 			}
 			ph.adj[i] = row
 		}
-		ph.maxLen = ph.n
-		if sp.ItemLoadFF > 0 {
-			k := 0
-			for float64(k+1)*sp.ItemLoadFF < sp.CapThFF && k < ph.n {
-				k++
-			}
-			ph.maxLen = k
-		}
+		ph.maxLen = sp.MaxMembers
 		if ph.maxLen < 1 {
 			ph.maxLen = 1 // singletons always stand: greedy emits them too
 		}

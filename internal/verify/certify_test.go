@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"wcm3d/internal/cells"
+	"wcm3d/internal/netlist"
 	"wcm3d/internal/wcm"
 )
 
@@ -23,6 +25,18 @@ func TestCertifyWCMPlans(t *testing.T) {
 		{400, 20, 12, 12, 3},
 		{500, 16, 14, 14, 7},
 		{400, 6, 12, 12, 9},
+	}
+	// At cap_th = 3 × the control-side item load the greedy partitioner's
+	// member-count bound stops at 2 TSVs, one hundredth of a femtofarad
+	// above it at 3; the verifier's own load sum must agree on both.
+	lib := cells.Default45nm()
+	itemLoad := lib.TSVCapFF + lib.Of(netlist.GateMux2).InputCapFF
+	capTh := func(c float64) func() wcm.Options {
+		return func() wcm.Options {
+			o := wcm.DefaultOptions()
+			o.CapThFF = c
+			return o
+		}
 	}
 	variants := []struct {
 		name string
@@ -46,6 +60,8 @@ func TestCertifyWCMPlans(t *testing.T) {
 			o.Merge = wcm.MergeFirstEdge
 			return o
 		}},
+		{"cap-3-items", capTh(3 * itemLoad)},
+		{"cap-3-items+0.01", capTh(3*itemLoad + 0.01)},
 	}
 	for _, s := range shapes {
 		in := prep(t, s.gates, s.ffs, s.in, s.out, s.seed)

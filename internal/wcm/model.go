@@ -46,12 +46,10 @@ type SharePhase struct {
 	// FFs are the flip-flops eligible for reuse in this phase, with their
 	// item adjacency.
 	FFs []ShareFF
-	// ItemLoadFF is the uniform post-bond drive load one item adds to a
-	// shared group (TSV pillar plus a mux or XOR pin).
-	ItemLoadFF float64
-	// CapThFF is the accumulated-load budget a shared group must stay
-	// strictly under.
-	CapThFF float64
+	// MaxMembers is the largest item count a shared group may hold: the
+	// greedy partitioner's own bound, the largest k with k × (TSV pillar
+	// plus a mux or XOR pin) strictly under cap_th, capped at len(Items).
+	MaxMembers int
 }
 
 // ShareItem identifies one TSV of a phase.
@@ -84,17 +82,7 @@ func BuildShareModel(in Input, opts Options, secondTiming *sta.Result) (*ShareMo
 		return nil, err
 	}
 	n := in.Netlist
-	firstInbound := true
-	switch opts.Order {
-	case OrderLargerFirst:
-		firstInbound = len(n.InboundTSVs()) >= len(n.OutboundTSVs())
-	case OrderSmallerFirst:
-		firstInbound = len(n.InboundTSVs()) < len(n.OutboundTSVs())
-	case OrderInboundFirst:
-		firstInbound = true
-	case OrderOutboundFirst:
-		firstInbound = false
-	}
+	firstInbound := opts.Order.inboundFirst(len(n.InboundTSVs()), len(n.OutboundTSVs()))
 	m := &ShareModel{Opts: opts}
 	timings := [2]*sta.Result{in.Timing, in.Timing}
 	if secondTiming != nil {
@@ -126,7 +114,7 @@ func buildSharePhase(in Input, opts Options, inbound bool) (*SharePhase, error) 
 	if err != nil {
 		return nil, err
 	}
-	sp := &SharePhase{Inbound: inbound, CapThFF: opts.CapThFF}
+	sp := &SharePhase{Inbound: inbound, MaxMembers: ph.maxMembers}
 	itemOf := func(i int) ShareItem {
 		it := ShareItem{Sig: ph.tsvSignals[i], Port: -1}
 		if !inbound {
@@ -139,11 +127,6 @@ func buildSharePhase(in Input, opts Options, inbound bool) (*SharePhase, error) 
 	}
 	for _, i := range excluded {
 		sp.Excluded = append(sp.Excluded, itemOf(i))
-	}
-	if inbound {
-		sp.ItemLoadFF = in.Lib.TSVCapFF + in.Lib.Of(netlist.GateMux2).InputCapFF
-	} else {
-		sp.ItemLoadFF = in.Lib.TSVCapFF + in.Lib.Of(netlist.GateXor).InputCapFF
 	}
 	// Graph node ids: items in admission order first, then flip-flops (the
 	// AddNode order of buildGraph).

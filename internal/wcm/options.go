@@ -12,8 +12,8 @@
 //     thresholds (cov_th, p_th) that admit edges between nodes with
 //     overlapping fan-in/fan-out cones;
 //  3. heuristic clique partitioning (Algorithm 2) repeatedly merges the
-//     minimum-degree adjacent pair while the merged clique's cost stays
-//     within its budget;
+//     minimum-degree adjacent pair while the merged clique's drive load
+//     stays under cap_th;
 //  4. cliques become the wrapper plan: a clique with a scan flip-flop
 //     reuses it, a clique without one gets a single additional wrapper
 //     cell.
@@ -52,6 +52,21 @@ const (
 	// OrderSmallerFirst processes the smaller set first (ablation).
 	OrderSmallerFirst
 )
+
+// inboundFirst reports whether the policy processes the inbound set first,
+// given the two set sizes.
+func (o OrderPolicy) inboundFirst(nIn, nOut int) bool {
+	switch o {
+	case OrderSmallerFirst:
+		return nIn < nOut
+	case OrderOutboundFirst:
+		return false
+	case OrderLargerFirst:
+		return nIn >= nOut
+	default: // OrderInboundFirst
+		return true
+	}
+}
 
 // String names the policy.
 func (o OrderPolicy) String() string {
@@ -134,12 +149,6 @@ type Options struct {
 	// Merge picks the pair-selection heuristic of the clique
 	// partitioner (ablation knob; the paper uses minimum degree).
 	Merge MergePolicy
-	// Testability estimates the cost of overlapped-cone sharing; nil
-	// defaults to the structural estimator. When Workers permits
-	// parallelism the evaluator is called from multiple goroutines at
-	// once, so a custom implementation must be safe for concurrent use
-	// (the default structural estimator is).
-	Testability Evaluator
 	// Workers bounds the worker pool a single Run uses for cone and edge
 	// construction. 0 (or negative) means GOMAXPROCS; 1 forces the fully
 	// serial path. The produced plan and statistics are bit-identical at
@@ -208,9 +217,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Timing == 0 {
 		o.Timing = TimingCapWire
-	}
-	if o.Testability == nil {
-		o.Testability = StructuralEstimator{}
 	}
 	if o.SlackSpendFrac == 0 {
 		o.SlackSpendFrac = 0.20

@@ -19,9 +19,10 @@ import (
 //     are stripped by the mask before any overlap test. The masked cone is
 //     bit-identical before and after the patch.
 //   - Edge verdicts (none / clean / overlap), keyed by the unordered slot
-//     pair. edgeAllowed reads placement coordinates, static load/budget
-//     parameters, anchors and masked cones — never slacks — so a verdict
-//     is a pure function of frozen die geometry. Slacks only decide
+//     pair. edgeAllowed reads placement coordinates, the member-count
+//     load bound (a pair fits it iff a clique of its size does, whatever
+//     the item count), anchors and masked cones — never slacks — so a
+//     verdict is a pure function of frozen die geometry. Slacks only decide
 //     *membership* (the item filters and ffEligible), which every run
 //     recomputes from scratch in O(n).
 //
@@ -137,12 +138,11 @@ type slotKey struct {
 type phaseMemo struct {
 	slots  map[slotKey]int32
 	masked []*netlist.BitSet // per slot; plain-allocated (outlives arenas)
-	lo, hi []int32           // non-zero word span per slot
 	verd   verdictMatrix
 }
 
 // slotFor returns the memo slot for a key, inserting an empty slot when
-// the key is new (the caller then fills masked/lo/hi at the same index).
+// the key is new (the caller then fills masked at the same index).
 func (m *phaseMemo) slotFor(key slotKey) (slot int32, hit bool) {
 	if m.slots == nil {
 		m.slots = make(map[slotKey]int32)
@@ -153,8 +153,6 @@ func (m *phaseMemo) slotFor(key slotKey) (slot int32, hit bool) {
 	s := int32(len(m.masked))
 	m.slots[key] = s
 	m.masked = append(m.masked, nil)
-	m.lo = append(m.lo, 0)
-	m.hi = append(m.hi, 0)
 	return s, false
 }
 

@@ -25,19 +25,7 @@ func run(in Input, opts Options, st *sessionState) (*Result, error) {
 		return nil, err
 	}
 	n := in.Netlist
-	inbound := n.InboundTSVs()
-	outbound := n.OutboundTSVs()
-	firstInbound := true
-	switch opts.Order {
-	case OrderLargerFirst:
-		firstInbound = len(inbound) >= len(outbound)
-	case OrderSmallerFirst:
-		firstInbound = len(inbound) < len(outbound)
-	case OrderInboundFirst:
-		firstInbound = true
-	case OrderOutboundFirst:
-		firstInbound = false
-	}
+	firstInbound := opts.Order.inboundFirst(len(n.InboundTSVs()), len(n.OutboundTSVs()))
 
 	available := make(map[netlist.SignalID]bool, len(n.FlipFlops()))
 	for _, ff := range n.FlipFlops() {
@@ -131,7 +119,11 @@ type phaseRunner struct {
 	memo *phaseMemo
 
 	// per-run state
-	collected  bool
+	collected bool
+	// maxMembers is the largest TSV count a clique may hold: Algorithm
+	// 2's accumulated-load bound, with every member adding the same
+	// post-bond drive load (see mergeFits).
+	maxMembers int
 	items      []int              // item indices that passed the node filter
 	excluded   []int              // item indices excluded to dedicated cells
 	ffs        []netlist.SignalID // available, eligible flip-flops
@@ -141,18 +133,14 @@ type phaseRunner struct {
 	cones      *netlist.ConeSet
 	sourceMask *netlist.BitSet // sources excluded from cone-overlap tests
 	graph      *wcmgraph.Graph
-	// nodeCone and nodeAnchor index the sharing-relevant cone and anchor
-	// signal by graph node id, so the O(n²) edge sweep does two array
-	// loads per pair instead of map lookups. nodeMasked is the cone with
-	// shared-source signals already stripped (cone &^ sourceMask) and
-	// nodeLo/nodeHi its non-zero word span: the pair test then scans one
-	// AND over the overlap of two short spans instead of a full-width
-	// double-mask pass, with bit-identical answers. Valid for the initial
-	// (pre-merge) nodes only — exactly the ones the sweep visits.
-	nodeCone   []*netlist.BitSet
+	// nodeMasked and nodeAnchor index the sharing-relevant cone and
+	// anchor signal by graph node id, so the O(n²) edge sweep does two
+	// array loads per pair instead of map lookups. nodeMasked is the cone
+	// with shared-source signals already stripped (cone &^ sourceMask),
+	// so the pair test is one AND per word instead of a double-mask pass.
+	// Valid for the initial (pre-merge) nodes only — exactly the ones the
+	// sweep visits.
 	nodeMasked []*netlist.BitSet
-	nodeLo     []int32
-	nodeHi     []int32
 	nodeAnchor []netlist.SignalID
 	// nodeSlot maps graph node id to the session memo slot (memo != nil).
 	nodeSlot []int32
@@ -252,6 +240,20 @@ func (ph *phaseRunner) collect() {
 			ph.ffs = append(ph.ffs, ff)
 		}
 	}
+	load := ph.itemLoadFF()
+	for ph.maxMembers < len(ph.items) && float64(ph.maxMembers+1)*load < ph.opts.CapThFF {
+		ph.maxMembers++
+	}
+}
+
+// itemLoadFF is the post-bond drive load one TSV adds to a shared wrapper
+// cell: its pillar plus the mux (control) or fold-XOR (observe) pin.
+func (ph *phaseRunner) itemLoadFF() float64 {
+	lib := ph.in.Lib
+	if ph.inbound {
+		return lib.TSVCapFF + lib.Of(netlist.GateMux2).InputCapFF
+	}
+	return lib.TSVCapFF + lib.Of(netlist.GateXor).InputCapFF
 }
 
 // buildGraph runs Algorithm 1 end to end — item collection and node
@@ -310,8 +312,8 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 		tsvNode[i] = -1
 	}
 	for _, i := range items {
-		node := wcmgraph.Node{Members: []int32{int32(i)}}
-		ph.fillTSVNode(&node, i)
+		node := ph.placedNode(ph.tsvSignals[i])
+		node.Members = []int32{int32(i)}
 		id, err := ph.graph.AddNode(node)
 		if err != nil {
 			return nil, nil, err
@@ -320,8 +322,8 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 	}
 	ffNode := make([]int, 0, len(ffs))
 	for _, ff := range ffs {
-		node := wcmgraph.Node{HasFF: true, FF: int32(ff)}
-		ph.fillFFNode(&node, ff)
+		node := ph.placedNode(ff)
+		node.HasFF, node.FF = true, int32(ff)
 		id, err := ph.graph.AddNode(node)
 		if err != nil {
 			return nil, nil, err
@@ -339,22 +341,17 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 	// byte-identical at every worker count.
 	nNodes := len(items) + len(ffs)
 	ph.nodeMasked = make([]*netlist.BitSet, nNodes)
-	ph.nodeLo = make([]int32, nNodes)
-	ph.nodeHi = make([]int32, nNodes)
 	ph.nodeAnchor = make([]netlist.SignalID, nNodes)
 	for id := 0; id < nNodes; id++ {
 		ph.nodeAnchor[id] = ph.anchor(id)
 	}
 	if ph.memo == nil {
-		ph.nodeCone = make([]*netlist.BitSet, nNodes)
+		nodeCone := make([]*netlist.BitSet, nNodes)
 		for id := 0; id < nNodes; id++ {
-			ph.nodeCone[id] = ph.coneOf(id)
+			nodeCone[id] = ph.coneOf(id)
 		}
 		par.Do(ph.opts.Workers, nNodes, func(_, id int) {
-			m := ph.nodeCone[id].AndNotInto(ph.sourceMask, ph.arena.NewBitSet(n.NumGates()))
-			lo, hi := m.WordSpan()
-			ph.nodeMasked[id] = m
-			ph.nodeLo[id], ph.nodeHi[id] = int32(lo), int32(hi)
+			ph.nodeMasked[id] = nodeCone[id].AndNotInto(ph.sourceMask, ph.arena.NewBitSet(n.NumGates()))
 		})
 	} else {
 		ph.nodeSlot = make([]int32, nNodes)
@@ -370,13 +367,9 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 			if !hit {
 				// Plain allocation: the memoized masked cone outlives
 				// this phase's arena.
-				m := ph.coneOf(id).AndNotInto(ph.sourceMask, netlist.NewBitSet(n.NumGates()))
-				lo, hi := m.WordSpan()
-				ph.memo.masked[slot] = m
-				ph.memo.lo[slot], ph.memo.hi[slot] = int32(lo), int32(hi)
+				ph.memo.masked[slot] = ph.coneOf(id).AndNotInto(ph.sourceMask, netlist.NewBitSet(n.NumGates()))
 			}
 			ph.nodeMasked[id] = ph.memo.masked[slot]
-			ph.nodeLo[id], ph.nodeHi[id] = ph.memo.lo[slot], ph.memo.hi[slot]
 		}
 		ph.memo.verd.ensure(len(ph.memo.masked))
 	}
@@ -491,60 +484,19 @@ func (ph *phaseRunner) buildEdgesBulk(stats *PhaseStats, nItems, nNodes int) err
 	edges, cleanEdges := ph.graph.FinishBulkEdges()
 	stats.Edges = edges
 	stats.OverlapEdges = edges - cleanEdges
-	// Long delete runs between merges dominate session partitions; the
-	// candidate cache serves them without changing a single pick.
-	ph.graph.EnablePickCache()
 	return nil
 }
 
-// fillTSVNode initializes load/budget/position for a TSV node.
-func (ph *phaseRunner) fillTSVNode(node *wcmgraph.Node, item int) {
-	lib := ph.in.Lib
-	if ph.inbound {
-		// Under buffered test routing the functional costs of control
-		// sharing are per-node, not per-clique (the one-time segment on
-		// the reused flip-flop's Q is checked by ffEligible); dimension
-		// 1 is inert and dimension 2 carries post-bond drive capacity:
-		// the wrapper must drive each member's TSV pillar.
-		node.Load = 0
-		node.Budget = math.Inf(1)
-		node.Load2 = lib.TSVCapFF + lib.Of(netlist.GateMux2).InputCapFF
-		node.Budget2 = ph.opts.CapThFF
-		if ph.in.Placement != nil {
-			pt := ph.in.Placement.Coords[ph.tsvSignals[item]]
-			node.X, node.Y = pt.X, pt.Y
-			node.X2, node.Y2 = pt.X, pt.Y
-		}
-		return
-	}
-	// Observation: the functional tap cost is per-node and checked at
-	// item collection; the fold-XOR chain is a test-mode path policed by
-	// d_th and drive capacity, so dimension 1 is inert here too.
-	sig := ph.tsvSignals[item]
-	xor := lib.Of(netlist.GateXor)
-	node.Load = 0
-	node.Budget = math.Inf(1)
-	node.Load2 = lib.TSVCapFF + xor.InputCapFF
-	node.Budget2 = ph.opts.CapThFF
+// placedNode returns a fresh node whose bounding box is the placed
+// position of sig (a point; zero without a placement).
+func (ph *phaseRunner) placedNode(sig netlist.SignalID) wcmgraph.Node {
+	var node wcmgraph.Node
 	if ph.in.Placement != nil {
 		pt := ph.in.Placement.Coords[sig]
 		node.X, node.Y = pt.X, pt.Y
 		node.X2, node.Y2 = pt.X, pt.Y
 	}
-}
-
-// fillFFNode initializes load/budget/position for a flip-flop node.
-func (ph *phaseRunner) fillFFNode(node *wcmgraph.Node, ff netlist.SignalID) {
-	lib := ph.in.Lib
-	node.Budget2 = ph.opts.CapThFF // post-bond drive capacity of the FF
-	node.Load = 0
-	node.Budget = math.Inf(1) // per-node functional costs checked by ffEligible
-	_ = lib
-	if ph.in.Placement != nil {
-		pt := ph.in.Placement.Coords[ff]
-		node.X, node.Y = pt.X, pt.Y
-		node.X2, node.Y2 = pt.X, pt.Y
-	}
+	return node
 }
 
 // tapCostPS is the functional delay penalty a fold tap puts on the
@@ -633,7 +585,7 @@ func (ph *phaseRunner) edgeAllowed(a, b int) (ok, overlap bool) {
 			return false, false
 		}
 	}
-	// The pair must be mergeable at all under the cost model, otherwise
+	// The pair must be mergeable at all under the load bound, otherwise
 	// the edge only wastes partitioning effort.
 	if !ph.mergeFits(na, nb) {
 		return false, false
@@ -645,19 +597,15 @@ func (ph *phaseRunner) edgeAllowed(a, b int) (ok, overlap bool) {
 	// Overlap means shared combinational logic; shared sources (a PI
 	// feeding both cones, a flip-flop read by both) are independently
 	// controllable and do not make sharing unsafe by themselves — the
-	// precomputed masked cones have sources already stripped, and the
-	// scan is bounded to the overlap of the two cones' word spans.
-	lo, hi := maxI32(ph.nodeLo[a], ph.nodeLo[b]), minI32(ph.nodeHi[a], ph.nodeHi[b])
-	ca := ph.nodeMasked[a]
-	cb := ph.nodeMasked[b]
-	if lo >= hi || !ca.IntersectsSpan(cb, int(lo), int(hi)) {
+	// precomputed masked cones have sources already stripped.
+	ca, cb := ph.nodeMasked[a], ph.nodeMasked[b]
+	if !ca.Intersects(cb) {
 		return true, false
 	}
 	if !ph.opts.AllowOverlap {
 		return false, false
 	}
-	shared := ca.IntersectCountSpan(cb, int(lo), int(hi))
-	covLoss, patInc := ph.opts.Testability.SharePenalty(ph.in.Netlist, shared)
+	covLoss, patInc := SharePenalty(ph.in.Netlist, ca.IntersectCount(cb))
 	if covLoss < ph.opts.CovThFrac && patInc < ph.opts.PatThCount {
 		return true, true
 	}
@@ -697,8 +645,9 @@ func (ph *phaseRunner) anchor(id int) netlist.SignalID {
 }
 
 // partition runs paper Algorithm 2: repeatedly take the minimum-degree
-// node and its minimum-degree neighbor; merge them when the combined cost
-// fits the budget, otherwise delete the edge; stop when no edges remain.
+// node and its minimum-degree neighbor; merge them when the merged clique
+// fits the load bound, otherwise delete the edge; stop when no edges
+// remain.
 func (ph *phaseRunner) partition(stats *PhaseStats) error {
 	g := ph.graph
 	for {
@@ -712,17 +661,8 @@ func (ph *phaseRunner) partition(stats *PhaseStats) error {
 		if !ok {
 			return nil
 		}
-		a, b := g.Node(n1), g.Node(n2)
-		if ph.mergeFits(a, b) {
-			// The accumulated load carries the additive parts (stage
-			// delays, pin caps); the bbox wire term is recomputed at
-			// every check from the merged geometry, so it is charged to
-			// the control-side cap accumulation only.
-			mergedLoad := a.Load + b.Load
-			if ph.inbound {
-				mergedLoad += ph.wireTerm(a, b)
-			}
-			if _, err := g.Merge(n1, n2, mergedLoad); err != nil {
+		if ph.mergeFits(g.Node(n1), g.Node(n2)) {
+			if _, err := g.Merge(n1, n2); err != nil {
 				return err
 			}
 			stats.Merges++
@@ -733,34 +673,15 @@ func (ph *phaseRunner) partition(stats *PhaseStats) error {
 	}
 }
 
-// mergeFits applies the merge test of Algorithm 2 ("cap + 1 < cap_th") in
-// both cost dimensions: wire-aware load against the timing budget, and
-// post-bond drive capacity against the library bound. Under the
-// capacitance-only model the wire-aware dimension is inert (its loads
-// carry no wire terms and its budgets are the same cap_th).
-//
-// The wire term is charged conservatively from the merged clique's
-// bounding box: on the observe side the box diameter bounds the route any
-// member's signal needs to reach the shared capture cell; on the control
-// side each member's run is repeater-bounded, so the cost is per-merge
-// capacitance.
+// mergeFits applies the merge test of Algorithm 2 ("cap + 1 < cap_th")
+// to the post-bond drive load a shared wrapper cell must supply. Every
+// member TSV adds the same load and a flip-flop adds none, so the bound
+// is a member count. Span is policed by d_th at edge construction, and
+// the functional costs of sharing are per node (the item filters and
+// ffEligible): buffered test routing keeps them from growing with the
+// clique.
 func (ph *phaseRunner) mergeFits(a, b *wcmgraph.Node) bool {
-	if a.Load+b.Load+ph.wireTerm(a, b) >= minF(a.Budget, b.Budget) {
-		return false
-	}
-	return a.Load2+b.Load2 < minF(a.Budget2, b.Budget2)
-}
-
-// wireTerm is the dimension-1 wire cost of merging a and b.
-func (ph *phaseRunner) wireTerm(a, b *wcmgraph.Node) float64 {
-	if ph.opts.Timing != TimingCapWire || ph.in.Placement == nil {
-		return 0
-	}
-	// Buffered test routing on both sides: the shared wrapper's load
-	// does not grow with clique span (control), and the fold chain is a
-	// relaxed-clock test path (observe). Span is policed by d_th, drive
-	// by the capacity dimension.
-	return 0
+	return len(a.Members)+len(b.Members) <= ph.maxMembers
 }
 
 // emitGroup appends one clique to the plan.
@@ -778,25 +699,4 @@ func (ph *phaseRunner) emitGroup(asn *scan.Assignment, ff netlist.SignalID, memb
 		grp.Ports = append(grp.Ports, ph.tsvPorts[m])
 	}
 	asn.Observe = append(asn.Observe, grp)
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minI32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }

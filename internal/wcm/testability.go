@@ -4,56 +4,37 @@ import (
 	"wcm3d/internal/netlist"
 )
 
-// Evaluator estimates the testability cost of letting two nodes share a
-// wrapper cell when their cones overlap (paper Algorithm 1 lines 21-23:
-// fault_coverage(n1,n2) and #test_patterns(n1,n2)). The paper consults a
-// commercial ATPG tool here; this reproduction offers a fast structural
-// estimator (default) and an exact incremental-ATPG evaluator
-// (internal/experiments) used to validate the estimator on small dies.
-type Evaluator interface {
-	// SharePenalty returns the estimated fault-coverage decrease
-	// (fraction of the fault universe) and pattern-count increase caused
-	// by sharing between two nodes whose cones overlap in overlapGates
-	// combinational gates.
-	SharePenalty(n *netlist.Netlist, overlapGates int) (covLoss float64, patInc int)
-}
+// Constants of the structural share-penalty estimate (see SharePenalty).
+const (
+	// covFaultsPerOverlapGate is the number of faults one shared gate is
+	// charged as losing to aliasing.
+	covFaultsPerOverlapGate = 2.0
+	// overlapGatesPerPattern is the number of shared gates that cost one
+	// extra targeted pattern.
+	overlapGatesPerPattern = 4
+)
 
-// StructuralEstimator derives the penalty from the size of the cone
-// overlap: each shared gate contributes potential aliasing (a fault whose
-// effect reaches the observation point along both shared paths can cancel)
-// and potential input correlation (a fault needing independent values on
-// the two cones may lose its test). Empirically — validated against the
-// exact evaluator in the test suite — aliasing kills a small fraction of
-// the faults in the overlap region, and recovering coverage costs roughly
-// one extra targeted pattern per handful of overlapped gates.
-type StructuralEstimator struct {
-	// CovPerOverlapGate scales coverage loss per shared gate, as a
-	// fraction of the fault universe. Zero means the default 0.5 faults
-	// per shared gate.
-	CovPerOverlapGate float64
-	// GatesPerPattern is the number of shared gates that cost one extra
-	// pattern. Zero means the default 12.
-	GatesPerPattern int
-}
-
-var _ Evaluator = StructuralEstimator{}
-
-// SharePenalty implements Evaluator.
-func (e StructuralEstimator) SharePenalty(n *netlist.Netlist, overlap int) (float64, int) {
-	if overlap <= 0 {
+// SharePenalty estimates the testability cost of letting two nodes whose
+// cones overlap in overlapGates combinational gates share a wrapper cell
+// (paper Algorithm 1 lines 21-23: fault_coverage(n1,n2) and
+// #test_patterns(n1,n2)): the fault-coverage decrease as a fraction of
+// the fault universe, and the pattern-count increase. The paper consults a
+// commercial ATPG tool here; this reproduction uses a structural estimate
+// from the size of the overlap, validated against exact incremental ATPG
+// (experiments.ExactSharePenalty) in the test suite. Each shared gate
+// contributes potential aliasing (a fault whose effect reaches the
+// observation point along both shared paths can cancel) and potential
+// input correlation (a fault needing independent values on the two cones
+// may lose its test): aliasing kills a small fraction of the faults in the
+// overlap region, and recovering coverage costs roughly one extra pattern
+// per handful of overlapped gates.
+func SharePenalty(n *netlist.Netlist, overlapGates int) (covLoss float64, patInc int) {
+	if overlapGates <= 0 {
 		return 0, 0
-	}
-	perGate := e.CovPerOverlapGate
-	if perGate == 0 {
-		perGate = 2.0
-	}
-	gpp := e.GatesPerPattern
-	if gpp == 0 {
-		gpp = 4
 	}
 	// The fault universe is roughly two collapsed faults per gate.
 	universe := float64(2 * n.NumGates())
-	covLoss := perGate * float64(overlap) / universe
-	patInc := 1 + overlap/gpp
+	covLoss = covFaultsPerOverlapGate * float64(overlapGates) / universe
+	patInc = 1 + overlapGates/overlapGatesPerPattern
 	return covLoss, patInc
 }

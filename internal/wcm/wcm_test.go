@@ -144,6 +144,56 @@ func TestTightCapThresholdForcesDedicatedCells(t *testing.T) {
 	}
 }
 
+// TestCapThresholdBoundary pins Algorithm 2's merge rule at its edge: a
+// clique of k TSVs fits iff k × itemLoad < cap_th, so cap_th = 3 × itemLoad
+// caps every group at 2 TSVs and one hundredth of a femtofarad more admits
+// 3 on the control side (an observe-side item is heavier by the XOR-mux
+// pin difference, so 3 × 26.8 fF stays over either threshold). The share
+// model exports the same bound. internal/verify's TestCertifyWCMPlans
+// certifies plans at both thresholds with the verifier's own load sum.
+func TestCapThresholdBoundary(t *testing.T) {
+	in := prep(t, 400, 20, 12, 12, 3)
+	itemLoad := in.Lib.TSVCapFF + in.Lib.Of(netlist.GateMux2).InputCapFF
+	for _, tc := range []struct {
+		capTh         float64
+		inMax, outMax int
+	}{
+		{3 * itemLoad, 2, 2},
+		{3*itemLoad + 0.01, 3, 2},
+	} {
+		opts := DefaultOptions()
+		opts.CapThFF = tc.capTh
+		res, err := Run(in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inLargest, outLargest := 0, 0
+		for _, g := range res.Assignment.Control {
+			inLargest = max(inLargest, len(g.TSVs))
+		}
+		for _, g := range res.Assignment.Observe {
+			outLargest = max(outLargest, len(g.Ports))
+		}
+		if inLargest != tc.inMax || outLargest != tc.outMax {
+			t.Errorf("cap_th %v: largest groups %d inbound / %d outbound, want %d / %d",
+				tc.capTh, inLargest, outLargest, tc.inMax, tc.outMax)
+		}
+		model, err := BuildShareModel(in, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range model.Phases {
+			want := tc.outMax
+			if sp.Inbound {
+				want = tc.inMax
+			}
+			if sp.MaxMembers != want {
+				t.Errorf("cap_th %v: inbound=%v MaxMembers = %d, want %d", tc.capTh, sp.Inbound, sp.MaxMembers, want)
+			}
+		}
+	}
+}
+
 func TestSlackThresholdFiltersOutbound(t *testing.T) {
 	in := prep(t, 300, 12, 8, 8, 11)
 	opts := DefaultOptions()
@@ -266,10 +316,9 @@ func TestStructuralEstimatorMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := StructuralEstimator{}
-	cov0, pat0 := e.SharePenalty(n, 0)
-	covS, patS := e.SharePenalty(n, 4)
-	covB, patB := e.SharePenalty(n, 40)
+	cov0, pat0 := SharePenalty(n, 0)
+	covS, patS := SharePenalty(n, 4)
+	covB, patB := SharePenalty(n, 40)
 	if cov0 != 0 || pat0 != 0 {
 		t.Error("disjoint cones must cost nothing")
 	}

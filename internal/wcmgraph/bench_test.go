@@ -34,7 +34,7 @@ func makeSpec(nodes int, density float64, seed int64) *graphSpec {
 func (sp *graphSpec) build() *Graph {
 	g := New(sp.nodes)
 	for i := 0; i < sp.nodes; i++ {
-		node := Node{Budget: 1e18, Budget2: 1e18}
+		node := Node{}
 		if sp.ff[i] {
 			node.HasFF = true
 			node.FF = int32(i)
@@ -67,7 +67,7 @@ func partitionLoop(b *testing.B, g *Graph, pick func() (int, int, bool)) int {
 		}
 		if steps%4 == 3 {
 			g.DeleteEdge(n1, n2)
-		} else if _, err := g.Merge(n1, n2, 0); err != nil {
+		} else if _, err := g.Merge(n1, n2); err != nil {
 			b.Fatal(err)
 		}
 		steps++

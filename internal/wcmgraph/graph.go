@@ -28,19 +28,6 @@ type Node struct {
 	// Members are caller-defined TSV indices merged into this clique.
 	Members  []int32
 	cleanDeg int32
-	// Load is the accumulated wire-aware sharing cost (capacitance on
-	// the control side, delay on the observe side). Additive under
-	// merge.
-	Load float64
-	// Budget is the bound on Load (cap_th headroom on the control side,
-	// timing slack on the observe side). The minimum survives a merge.
-	Budget float64
-	// Load2 and Budget2 are a second, independent cost dimension: the
-	// post-bond drive capacity a wrapper cell must supply (TSV pillar
-	// plus pin capacitance per member, no wires). Leave Budget2 zero for
-	// "unbounded" (it is normalized to +Inf on AddNode).
-	Load2   float64
-	Budget2 float64
 	// X, Y / X2, Y2 are the clique's bounding box (µm): the area its
 	// members span. Merges take the union. The box bounds how much wire
 	// any member needs to reach a shared wrapper cell.
@@ -77,8 +64,7 @@ type Graph struct {
 	// the four views consistent.
 	degIdx [2][2]degIndex
 	// pick caches min-degree-neighbor candidates between merges (see
-	// pickCache). Off by default so the plain flow stays on the simple
-	// reference path; sessions opt in via EnablePickCache.
+	// pickCache).
 	pick pickCache
 }
 
@@ -170,21 +156,26 @@ func (x *degIndex) min() (int, bool) {
 // the partitioner only deletes the pair it was just handed, which changes
 // no other node's degree — so the sorted candidate list collected on the
 // last full scan keeps yielding exact successive argmins until a merge
-// (or any other structural mutation) invalidates it. Tiers that found no
-// eligible neighbor are remembered too (negN1): edge deletions can never
-// create eligibility, so a failing (tier, n1) keeps failing until a merge
-// or edge insertion. Every pop re-checks adjacency and degree, so a
-// violated assumption degrades to a rescan, never a wrong pick.
+// (or any other structural mutation) invalidates it. A pick only peeks at
+// the candidate under the cursor; deleting exactly that pair (n1, lastN2)
+// advances the cursor, so repeated picks without a mutation return the
+// same pair. Tiers that found no eligible neighbor are remembered too
+// (negN1): edge deletions can never create eligibility, so a failing
+// (tier, n1) keeps failing until a merge or edge insertion. Exactness
+// rests on every mutation going through AddNode, addEdge, DeleteEdge or
+// Merge, which keep or drop the cache (bulk loading precedes any pick).
+// A peek also re-checks the candidate's adjacency and recorded degree and
+// rescans when either moved; that guard sees only the candidate, not a
+// neighbor whose degree changed behind the cache's back.
 type pickCache struct {
-	enabled bool
-	valid   bool
-	tier    uint8
-	n1      int32
-	lastN2  int32
-	next    int
-	cands   []pickCand
-	negN1   [4]int32 // per tier: n1 known to have no eligible neighbor
-	negSet  [4]bool
+	valid  bool
+	tier   uint8
+	n1     int32
+	lastN2 int32
+	next   int
+	cands  []pickCand
+	negN1  [4]int32 // per tier: n1 known to have no eligible neighbor
+	negSet [4]bool
 }
 
 type pickCand struct {
@@ -195,12 +186,6 @@ type pickCand struct {
 // pickCacheCap bounds the candidates kept per scan. Exhausting the list
 // just forces the next pick back onto a full scan.
 const pickCacheCap = 48
-
-// EnablePickCache turns on candidate caching for min-degree selection.
-// Picks are bit-identical with or without it (the equivalence tests pin
-// both modes against the linear-scan oracle); the cache only changes how
-// much work repeated picks between merges cost.
-func (g *Graph) EnablePickCache() { g.pick.enabled = true }
 
 func (g *Graph) invalidatePicks() {
 	g.pick.valid = false
@@ -275,9 +260,6 @@ func (g *Graph) Node(id int) *Node { return &g.nodes[id] }
 func (g *Graph) AddNode(n Node) (int, error) {
 	if len(g.nodes) >= g.cap {
 		return -1, fmt.Errorf("wcmgraph: node capacity %d exhausted", g.cap)
-	}
-	if n.Budget2 == 0 {
-		n.Budget2 = math.Inf(1)
 	}
 	if n.X2 < n.X {
 		n.X2 = n.X
@@ -393,14 +375,18 @@ func (g *Graph) DeleteEdge(a, b int) {
 	if !g.HasEdge(a, b) {
 		return
 	}
-	// Deleting exactly the pair the last pick returned keeps the
-	// candidate list valid (no other node's degree moves); any other
-	// deletion drops it. Negative entries survive every deletion: losing
-	// edges can never give a failing (tier, n1) an eligible neighbor.
-	if pc := &g.pick; pc.valid &&
-		!(int32(a) == pc.n1 && int32(b) == pc.lastN2) &&
-		!(int32(b) == pc.n1 && int32(a) == pc.lastN2) {
-		pc.valid = false
+	// Deleting exactly the pair the last pick returned moves the cursor
+	// past it and keeps the candidate list valid (no other node's degree
+	// moves); any other deletion drops it. Negative entries survive every
+	// deletion: losing edges can never give a failing (tier, n1) an
+	// eligible neighbor.
+	if pc := &g.pick; pc.valid {
+		if (int32(a) == pc.n1 && int32(b) == pc.lastN2) ||
+			(int32(b) == pc.n1 && int32(a) == pc.lastN2) {
+			pc.next++
+		} else {
+			pc.valid = false
+		}
 	}
 	g.adj[a][b>>6] &^= 1 << (uint(b) & 63)
 	g.adj[b][a>>6] &^= 1 << (uint(a) & 63)
@@ -479,82 +465,60 @@ func (g *Graph) minDegreePlane(cleanOnly, noFF bool) (n1, n2 int, ok bool) {
 	}
 	key := tierKey(cleanOnly, noFF)
 	pc := &g.pick
-	if pc.enabled {
-		if pc.negSet[key] && pc.negN1[key] == int32(n1) {
-			return 0, 0, false
+	if pc.negSet[key] && pc.negN1[key] == int32(n1) {
+		return 0, 0, false
+	}
+	if pc.valid && pc.tier == key && pc.n1 == int32(n1) && pc.next < len(pc.cands) {
+		// Exactness guard: the candidate must still be adjacent in this
+		// plane with the degree recorded at scan time. Violations (an
+		// untracked mutation) fall back to a scan.
+		c := pc.cands[pc.next]
+		row := g.adj[n1]
+		if cleanOnly {
+			row = g.clean[n1]
 		}
-		if pc.valid && pc.tier == key && pc.n1 == int32(n1) {
-			for pc.next < len(pc.cands) {
-				c := pc.cands[pc.next]
-				pc.next++
-				// Exactness guard: the candidate must still be adjacent in
-				// this plane with the degree recorded at scan time.
-				// Violations (an untracked mutation) fall back to a scan.
-				row := g.adj[n1]
-				if cleanOnly {
-					row = g.clean[n1]
-				}
-				if row[c.id>>6]&(1<<(uint(c.id)&63)) != 0 && deg(int(c.id)) == c.deg {
-					pc.lastN2 = c.id
-					return n1, int(c.id), true
-				}
-				pc.valid = false
-				break
-			}
+		if row[c.id>>6]&(1<<(uint(c.id)&63)) != 0 && deg(int(c.id)) == c.deg {
+			pc.lastN2 = c.id
+			return n1, int(c.id), true
 		}
 	}
-	if pc.enabled {
-		// Full scan, keeping the pickCacheCap best (degree, id) candidates
-		// in sorted order. Ascending-id iteration inserts equal-degree
-		// candidates after earlier ids, matching lowest-id tie-breaking.
-		pc.valid = false
-		pc.cands = pc.cands[:0]
-		g.neighborsPlane(n1, cleanOnly, func(nb int) {
-			if noFF && g.nodes[nb].HasFF {
-				return
-			}
-			d := deg(nb)
-			n := len(pc.cands)
-			if n == pickCacheCap && d >= pc.cands[n-1].deg {
-				return
-			}
-			pos := n
-			for pos > 0 && pc.cands[pos-1].deg > d {
-				pos--
-			}
-			if n < pickCacheCap {
-				pc.cands = append(pc.cands, pickCand{})
-			} else {
-				n--
-			}
-			copy(pc.cands[pos+1:], pc.cands[pos:n])
-			pc.cands[pos] = pickCand{deg: d, id: int32(nb)}
-		})
-		if len(pc.cands) == 0 {
-			pc.negN1[key] = int32(n1)
-			pc.negSet[key] = true
-			return 0, 0, false
-		}
-		pc.valid = true
-		pc.tier = key
-		pc.n1 = int32(n1)
-		pc.next = 1
-		pc.lastN2 = pc.cands[0].id
-		return n1, int(pc.cands[0].id), true
-	}
-	n2 = -1
+	// Full scan, keeping the pickCacheCap best (degree, id) candidates in
+	// sorted order. Ascending-id iteration inserts equal-degree candidates
+	// after earlier ids, matching lowest-id tie-breaking.
+	pc.valid = false
+	pc.cands = pc.cands[:0]
 	g.neighborsPlane(n1, cleanOnly, func(nb int) {
 		if noFF && g.nodes[nb].HasFF {
 			return
 		}
-		if n2 < 0 || deg(nb) < deg(n2) {
-			n2 = nb
+		d := deg(nb)
+		n := len(pc.cands)
+		if n == pickCacheCap && d >= pc.cands[n-1].deg {
+			return
 		}
+		pos := n
+		for pos > 0 && pc.cands[pos-1].deg > d {
+			pos--
+		}
+		if n < pickCacheCap {
+			pc.cands = append(pc.cands, pickCand{})
+		} else {
+			n--
+		}
+		copy(pc.cands[pos+1:], pc.cands[pos:n])
+		pc.cands[pos] = pickCand{deg: d, id: int32(nb)}
 	})
-	if n2 < 0 {
+	if len(pc.cands) == 0 {
+		pc.negN1[key] = int32(n1)
+		pc.negSet[key] = true
 		return 0, 0, false
 	}
-	return n1, n2, true
+	pc.valid = true
+	pc.tier = key
+	pc.n1 = int32(n1)
+	pc.next = 0
+	pc.lastN2 = pc.cands[0].id
+	return n1, int(pc.cands[0].id), true
 }
 
 // minDegreePlaneScan is the pre-index reference implementation: a linear
@@ -646,19 +610,15 @@ func (g *Graph) FirstEdgePair() (n1, n2 int, ok bool) {
 
 // Merge combines adjacent nodes a and b into a new clique node whose
 // neighbors are the common neighbors of a and b (preserving the clique
-// invariant), then deletes a and b. The caller supplies the merged load;
-// position and budget combine automatically.
-func (g *Graph) Merge(a, b int, mergedLoad float64) (int, error) {
+// invariant), then deletes a and b. Members concatenate and the bounding
+// boxes take their union.
+func (g *Graph) Merge(a, b int) (int, error) {
 	if !g.HasEdge(a, b) {
 		return -1, fmt.Errorf("wcmgraph: merge of non-adjacent %d, %d", a, b)
 	}
 	na, nb := &g.nodes[a], &g.nodes[b]
 	merged := Node{
 		HasFF:   na.HasFF || nb.HasFF,
-		Load:    mergedLoad,
-		Budget:  minF(na.Budget, nb.Budget),
-		Load2:   na.Load2 + nb.Load2,
-		Budget2: minF(na.Budget2, nb.Budget2),
 		Members: append(append([]int32(nil), na.Members...), nb.Members...),
 	}
 	switch {
@@ -780,11 +740,4 @@ func (g *Graph) Cliques() []int {
 		}
 	}
 	return out
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

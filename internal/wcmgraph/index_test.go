@@ -10,7 +10,7 @@ import (
 func randomGraph(rng *rand.Rand, n int, density float64) *Graph {
 	g := New(n)
 	for i := 0; i < n; i++ {
-		node := Node{Budget: 1e9, Budget2: 1e9}
+		node := Node{}
 		if i%3 == 2 {
 			node.HasFF = true
 			node.FF = int32(i)
@@ -36,37 +36,60 @@ func randomGraph(rng *rand.Rand, n int, density float64) *Graph {
 
 // TestMinDegreePairMatchesScan drives randomized graphs through full
 // partition runs, asserting at every single iteration that the
-// degree-bucket index picks exactly the pair the linear-scan reference
-// picks — same tier order, same lowest-id tie-breaking — while merges and
-// edge deletions mutate the graph underneath. Both index modes are pinned:
-// the plain one and the candidate-caching one sessions enable.
+// degree-bucket index and candidate cache pick exactly the pair the
+// linear-scan reference picks — same tier order, same lowest-id
+// tie-breaking — while merges and edge deletions mutate the graph
+// underneath.
 func TestMinDegreePairMatchesScan(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		for seed := int64(0); seed < 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			g := randomGraph(rng, 40+rng.Intn(80), 0.02+rng.Float64()*0.15)
-			if cached {
-				g.EnablePickCache()
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng, 40+rng.Intn(80), 0.02+rng.Float64()*0.15)
+		for step := 0; ; step++ {
+			i1, i2, iok := g.MinDegreePair()
+			s1, s2, sok := g.minDegreePairScan()
+			if iok != sok || i1 != s1 || i2 != s2 {
+				t.Fatalf("seed %d step %d: index picked (%d,%d,%v), scan picked (%d,%d,%v)",
+					seed, step, i1, i2, iok, s1, s2, sok)
 			}
-			for step := 0; ; step++ {
-				i1, i2, iok := g.MinDegreePair()
-				s1, s2, sok := g.minDegreePairScan()
-				if iok != sok || i1 != s1 || i2 != s2 {
-					t.Fatalf("cached=%v seed %d step %d: index picked (%d,%d,%v), scan picked (%d,%d,%v)",
-						cached, seed, step, i1, i2, iok, s1, s2, sok)
+			if !iok {
+				break
+			}
+			// Alternate merge and delete like the partitioner does when
+			// mergeFits flips, so both mutation paths exercise the index.
+			if rng.Intn(3) != 0 {
+				if _, err := g.Merge(i1, i2); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-				if !iok {
-					break
+			} else {
+				g.DeleteEdge(i1, i2)
+			}
+		}
+	}
+}
+
+// TestMinDegreePairIdempotent pins that a pick does not consume the
+// candidate it returns: two MinDegreePair calls with no mutation in
+// between return the same pair, at every step of a delete-heavy run.
+func TestMinDegreePairIdempotent(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng, 40+rng.Intn(80), 0.05+rng.Float64()*0.2)
+		for step := 0; ; step++ {
+			n1, n2, ok := g.MinDegreePair()
+			r1, r2, rok := g.MinDegreePair()
+			if ok != rok || n1 != r1 || n2 != r2 {
+				t.Fatalf("seed %d step %d: first pick (%d,%d,%v), repeated pick (%d,%d,%v)",
+					seed, step, n1, n2, ok, r1, r2, rok)
+			}
+			if !ok {
+				break
+			}
+			if rng.Intn(5) == 0 {
+				if _, err := g.Merge(n1, n2); err != nil {
+					t.Fatal(err)
 				}
-				// Alternate merge and delete like the partitioner does when
-				// mergeFits flips, so both mutation paths exercise the index.
-				if rng.Intn(3) != 0 {
-					if _, err := g.Merge(i1, i2, 0); err != nil {
-						t.Fatalf("seed %d step %d: %v", seed, step, err)
-					}
-				} else {
-					g.DeleteEdge(i1, i2)
-				}
+			} else {
+				g.DeleteEdge(n1, n2)
 			}
 		}
 	}
@@ -80,7 +103,6 @@ func TestPickCacheLongDeleteRuns(t *testing.T) {
 	for seed := int64(300); seed < 310; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 120, 0.6) // dense: degrees far above pickCacheCap
-		g.EnablePickCache()
 		for step := 0; ; step++ {
 			i1, i2, iok := g.MinDegreePair()
 			s1, s2, sok := g.minDegreePairScan()
@@ -92,7 +114,7 @@ func TestPickCacheLongDeleteRuns(t *testing.T) {
 				break
 			}
 			if rng.Intn(40) == 0 {
-				if _, err := g.Merge(i1, i2, 0); err != nil {
+				if _, err := g.Merge(i1, i2); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -135,7 +157,7 @@ func TestMinDegreePlaneMatchesScanPerTier(t *testing.T) {
 					g.AddEdge(a, b)
 				}
 			default:
-				if _, err := g.Merge(n1, n2, 0); err != nil {
+				if _, err := g.Merge(n1, n2); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -157,7 +179,7 @@ func TestDegreeIndexConsistency(t *testing.T) {
 		}
 		if step%2 == 0 {
 			g.DeleteEdge(n1, n2)
-		} else if _, err := g.Merge(n1, n2, 0); err != nil {
+		} else if _, err := g.Merge(n1, n2); err != nil {
 			t.Fatal(err)
 		}
 	}
