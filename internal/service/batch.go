@@ -82,18 +82,6 @@ type BatchStatus struct {
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 }
 
-// BatchJournal extends Journal with batch lifecycle records. The service
-// type-asserts it off Config.Journal, so Journal implementations that
-// predate batches keep compiling — they simply leave batches non-durable.
-type BatchJournal interface {
-	// SubmitBatch records an accepted batch and its full request.
-	SubmitBatch(id string, req BatchRequest) error
-	// FinishBatch records a batch's terminal transition. Per-die progress
-	// is deliberately not journaled: a replayed pending batch re-runs
-	// from scratch, idempotently, against a warm die cache.
-	FinishBatch(id string, state, errMsg string) error
-}
-
 // RecoveredBatch is one batch reconstructed from the write-ahead log at
 // boot. State is "" for a pending batch (re-run) or the terminal state
 // for one that finished before the crash (restored for pollers).
@@ -204,15 +192,6 @@ func (s *Service) resolveBatch(req BatchRequest) (*batchRun, error) {
 	return b, nil
 }
 
-// batchJournal returns the journal's batch extension, if it has one.
-func (s *Service) batchJournal() BatchJournal {
-	if s.cfg.Journal == nil {
-		return nil
-	}
-	bj, _ := s.cfg.Journal.(BatchJournal)
-	return bj
-}
-
 // SubmitBatch validates req and queues the batch as one unit of pool
 // work, sharing the job queue's admission control: a full queue returns
 // ErrQueueFull (HTTP 429) exactly like job submissions.
@@ -234,8 +213,8 @@ func (s *Service) SubmitBatch(req BatchRequest) (BatchStatus, error) {
 	s.gcLocked(time.Now())
 	s.mu.Unlock()
 
-	if bj := s.batchJournal(); bj != nil {
-		if err := bj.SubmitBatch(b.id, b.req); err != nil {
+	if s.cfg.Journal != nil {
+		if err := s.cfg.Journal.SubmitBatch(b.id, b.req); err != nil {
 			s.mu.Lock()
 			delete(s.batches, b.id)
 			s.mu.Unlock()
@@ -250,10 +229,10 @@ func (s *Service) SubmitBatch(req BatchRequest) (BatchStatus, error) {
 		if errors.Is(err, ErrQueueFull) {
 			s.metrics.BatchesRejected.Add(1)
 		}
-		if bj := s.batchJournal(); bj != nil {
+		if s.cfg.Journal != nil {
 			// Neutralize the submit record: the client was refused, so the
 			// batch must not rise from the log on the next boot.
-			if jerr := bj.FinishBatch(b.id, StateCanceled, "rejected at admission"); jerr != nil {
+			if jerr := s.cfg.Journal.FinishBatch(b.id, StateCanceled, "rejected at admission"); jerr != nil {
 				s.metrics.WALErrors.Add(1)
 				s.logf("wcmd: journal finish %s after rejection: %v", b.id, jerr)
 			}
@@ -282,7 +261,7 @@ func (s *Service) Batches() []BatchStatus {
 		bs = append(bs, b)
 	}
 	s.mu.Unlock()
-	sort.Slice(bs, func(a, b int) bool { return bs[a].id < bs[b].id })
+	sort.Slice(bs, func(a, b int) bool { return seqLess(bs[a].id, bs[b].id) })
 	out := make([]BatchStatus, 0, len(bs))
 	for _, b := range bs {
 		out = append(out, s.batchStatus(b))
@@ -363,8 +342,7 @@ func (s *Service) finishBatchLocked(b *batchRun, state string, err error) {
 // Abandoned batches are deliberately not journaled so they replay as
 // pending on the next boot.
 func (s *Service) journalBatchFinish(b *batchRun) {
-	bj := s.batchJournal()
-	if bj == nil {
+	if s.cfg.Journal == nil {
 		return
 	}
 	s.mu.Lock()
@@ -382,7 +360,7 @@ func (s *Service) journalBatchFinish(b *batchRun) {
 	default:
 		return
 	}
-	if err := bj.FinishBatch(b.id, state, errMsg); err != nil {
+	if err := s.cfg.Journal.FinishBatch(b.id, state, errMsg); err != nil {
 		s.metrics.WALErrors.Add(1)
 		s.logf("wcmd: journal batch finish %s: %v", b.id, err)
 	}
@@ -591,7 +569,7 @@ func (s *Service) gcBatchesLocked(now time.Time) {
 		if !fa.finished.Equal(*fb.finished) {
 			return fa.finished.Before(*fb.finished)
 		}
-		return fa.id < fb.id
+		return seqLess(fa.id, fb.id)
 	})
 	for _, b := range finished[:n] {
 		delete(s.batches, b.id)

@@ -1,13 +1,12 @@
 package service
 
 // Tests for the POST /v1/batches surface: lifecycle over HTTP, admission
-// control shared with the job queue, cancellation, journal events via the
-// BatchJournal seam, and crash recovery via Recover.
+// control shared with the job queue, cancellation, journal events, and
+// crash recovery via Recover.
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,25 +14,6 @@ import (
 	"testing"
 	"time"
 )
-
-// memBatchJournal extends the in-memory fake journal with the batch
-// records, exercising the type-asserted BatchJournal seam.
-type memBatchJournal struct {
-	memJournal
-}
-
-func (m *memBatchJournal) SubmitBatch(id string, req BatchRequest) error {
-	if m.failSubmit {
-		return fmt.Errorf("disk full")
-	}
-	m.record("bsubmit " + id)
-	return nil
-}
-
-func (m *memBatchJournal) FinishBatch(id string, state, errMsg string) error {
-	m.record("bfinish " + id + " " + state)
-	return nil
-}
 
 func postBatch(t *testing.T, ts *httptest.Server, body string) (int, BatchStatus, string) {
 	t.Helper()
@@ -214,7 +194,7 @@ func TestBatchCancelQueued(t *testing.T) {
 // TestBatchJournalEvents pins the durable write order on the batch path:
 // submit journaled before the run can finish, finish journaled after.
 func TestBatchJournalEvents(t *testing.T) {
-	jl := &memBatchJournal{}
+	jl := &memJournal{}
 	cfg := hookConfig(t, 2, 8, nil)
 	cfg.Journal = jl
 	_, ts := newTestServer(t, cfg)
@@ -231,25 +211,6 @@ func TestBatchJournalEvents(t *testing.T) {
 	}
 	if !jl.has("bfinish " + st.ID + " " + StateDone) {
 		t.Fatalf("no terminal journal record; events: %v", jl.events)
-	}
-}
-
-// TestBatchWithLegacyJournal: a Journal that predates BatchJournal leaves
-// batches non-durable but fully functional.
-func TestBatchWithLegacyJournal(t *testing.T) {
-	jl := &memJournal{}
-	cfg := hookConfig(t, 2, 8, nil)
-	cfg.Journal = jl
-	_, ts := newTestServer(t, cfg)
-	code, st, raw := postBatch(t, ts, `{"circuit":"b11"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", code, raw)
-	}
-	if fin := waitBatch(t, ts, st.ID); fin.State != StateDone {
-		t.Fatalf("batch ended %s (%s)", fin.State, fin.Error)
-	}
-	if n := jl.countPrefix("bsubmit"); n != 0 {
-		t.Fatalf("legacy journal saw %d batch records", n)
 	}
 }
 

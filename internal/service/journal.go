@@ -35,18 +35,19 @@ type Journal interface {
 	Finish(id string, state, errMsg string, result *Report) error
 	// Cancel records a queued job canceled before it ever ran.
 	Cancel(id string) error
-}
-
-// ReplanJournal is the optional Journal extension recording applied
-// replan deltas (POST /v1/jobs/{id}/replan), so a restart can rebuild a
-// job's repair history: the deltas replay into RecoveredJob.Replans, and
-// the planner itself is rebuilt lazily by re-applying them on the next
-// replan. internal/wal implements it; a Journal without it simply loses
-// replan state across restarts (the jobs themselves stay durable).
-type ReplanJournal interface {
-	// Replan records one applied delta. Only deltas that were actually
-	// executed are journaled — a rejected delta changes nothing.
+	// Replan records one applied replan delta (POST
+	// /v1/jobs/{id}/replan), so a restart can rebuild a job's repair
+	// history: the deltas replay into RecoveredJob.Replans, and the
+	// planner itself is rebuilt lazily by re-applying them on the next
+	// replan. Only deltas that were actually executed are journaled — a
+	// rejected delta changes nothing.
 	Replan(id string, delta ReplanRequest) error
+	// SubmitBatch records an accepted batch and its full request.
+	SubmitBatch(id string, req BatchRequest) error
+	// FinishBatch records a batch's terminal transition. Per-die progress
+	// is deliberately not journaled: a replayed pending batch re-runs
+	// from scratch, idempotently, against a warm die cache.
+	FinishBatch(id string, state, errMsg string) error
 }
 
 // RecoveredJob is one job reconstructed from the write-ahead log at boot.
@@ -67,8 +68,7 @@ type RecoveredJob struct {
 	SubmittedAt time.Time
 	StartedAt   time.Time
 	FinishedAt  time.Time
-	// Replans is the job's applied TSV-repair delta history, in order
-	// (journals implementing ReplanJournal; empty otherwise).
+	// Replans is the job's applied TSV-repair delta history, in order.
 	Replans []ReplanRequest
 }
 
@@ -77,8 +77,7 @@ type RecoveredJob struct {
 // the log has already handed out (including compacted ones).
 type Recovery struct {
 	Jobs []RecoveredJob
-	// Batches holds batch sweeps reconstructed from the log (journals
-	// implementing BatchJournal; empty otherwise).
+	// Batches holds batch sweeps reconstructed from the log.
 	Batches []RecoveredBatch
 	// MaxSeq is the highest numeric job-id suffix the log has ever seen.
 	MaxSeq int
@@ -100,6 +99,16 @@ func jobSeq(id string) int {
 		return -1
 	}
 	return n
+}
+
+// seqLess orders job and batch ids by their numeric sequence, then by the
+// id itself. Ids are zero-padded to six digits only, so past j-999999 the
+// string order would put newer ids before older ones.
+func seqLess(a, b string) bool {
+	if sa, sb := jobSeq(a), jobSeq(b); sa != sb {
+		return sa < sb
+	}
+	return a < b
 }
 
 // Recover replays a journal's recovery state into the service: finished
@@ -246,17 +255,12 @@ func (s *Service) journalFinish(j *job) {
 
 // journalReplan records one applied replan delta; non-fatal on failure
 // (like Start/Finish — the replan already executed, a lost record only
-// costs replay fidelity after the next restart). Journals without the
-// ReplanJournal extension skip the record.
+// costs replay fidelity after the next restart).
 func (s *Service) journalReplan(id string, delta ReplanRequest) {
 	if s.cfg.Journal == nil {
 		return
 	}
-	rj, ok := s.cfg.Journal.(ReplanJournal)
-	if !ok {
-		return
-	}
-	if err := rj.Replan(id, delta); err != nil {
+	if err := s.cfg.Journal.Replan(id, delta); err != nil {
 		s.metrics.WALErrors.Add(1)
 		s.logf("wcmd: journal replan %s: %v", id, err)
 	}

@@ -45,6 +45,21 @@ func (m *memJournal) Finish(id string, state, errMsg string, result *Report) err
 	return nil
 }
 func (m *memJournal) Cancel(id string) error { m.record("cancel " + id); return nil }
+func (m *memJournal) Replan(id string, delta ReplanRequest) error {
+	m.record("replan " + id)
+	return nil
+}
+func (m *memJournal) SubmitBatch(id string, req BatchRequest) error {
+	if m.failSubmit {
+		return errors.New("disk full")
+	}
+	m.record("bsubmit " + id)
+	return nil
+}
+func (m *memJournal) FinishBatch(id string, state, errMsg string) error {
+	m.record("bfinish " + id + " " + state)
+	return nil
+}
 
 func (m *memJournal) has(ev string) bool {
 	m.mu.Lock()
@@ -147,6 +162,70 @@ func TestRecoverRestoresAndRequeues(t *testing.T) {
 	_, st, _ := postJob(t, ts, `{"profile":"b11/0","seed":1}`)
 	if st.ID != "j-000010" {
 		t.Fatalf("post-recovery id %q, want j-000010", st.ID)
+	}
+}
+
+// TestIDsOrderPastSixDigits: ids are zero-padded to six digits only, so
+// as strings "j-1000000" < "j-999999". Listings, pages and the cursor must
+// follow the numeric sequence, or a poller tailing the cursor past
+// j-999999 stalls for good.
+func TestIDsOrderPastSixDigits(t *testing.T) {
+	svc, ts := newTestServer(t, hookConfig(t, 2, 8, nil))
+	if _, _, err := svc.Recover(Recovery{MaxSeq: 999_998}); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		_, st, _ := postJob(t, ts, `{"profile":"b11/0","seed":1}`)
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		waitJob(t, ts, id)
+	}
+	want := []string{"j-999999", "j-1000000", "j-1000001"}
+	if fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("submitted ids %v, want %v", ids, want)
+	}
+	idsOf := func(js []JobStatus) []string {
+		var out []string
+		for _, j := range js {
+			out = append(out, j.ID)
+		}
+		return out
+	}
+	if got := idsOf(svc.Jobs()); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Jobs() = %v, want %v", got, want)
+	}
+	if got := idsOf(svc.JobsFiltered("", 1)); fmt.Sprint(got) != fmt.Sprint(want[2:]) {
+		t.Errorf("JobsFiltered(limit 1) = %v, want the newest %v", got, want[2:])
+	}
+	page, last := svc.JobsPage("", 0, "j-999999")
+	if got := idsOf(page); fmt.Sprint(got) != fmt.Sprint(want[1:]) || last != "j-1000001" {
+		t.Errorf("JobsPage after j-999999 = %v (last %q), want %v", got, last, want[1:])
+	}
+
+	// Batches draw from the same sequence.
+	bsvc, bts := newTestServer(t, hookConfig(t, 2, 8, nil))
+	if _, _, err := bsvc.Recover(Recovery{MaxSeq: 999_998}); err != nil {
+		t.Fatal(err)
+	}
+	var bids []string
+	for i := 0; i < 2; i++ {
+		code, st, raw := postBatch(t, bts, `{"circuit":"b11"}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("batch submit: status %d: %s", code, raw)
+		}
+		bids = append(bids, st.ID)
+	}
+	for _, id := range bids {
+		waitBatch(t, bts, id)
+	}
+	var got []string
+	for _, b := range bsvc.Batches() {
+		got = append(got, b.ID)
+	}
+	if wantB := []string{"b-999999", "b-1000000"}; fmt.Sprint(got) != fmt.Sprint(wantB) {
+		t.Errorf("Batches() = %v, want %v", got, wantB)
 	}
 }
 

@@ -450,7 +450,7 @@ func (s *Service) JobsFiltered(state string, limit int) []JobStatus {
 		js = append(js, j)
 	}
 	s.mu.Unlock()
-	sort.Slice(js, func(a, b int) bool { return js[a].id < js[b].id })
+	sort.Slice(js, func(a, b int) bool { return seqLess(js[a].id, js[b].id) })
 	out := make([]JobStatus, 0, len(js))
 	for _, j := range js {
 		st := s.status(j)
@@ -474,12 +474,12 @@ func (s *Service) JobsPage(state string, limit int, after string) ([]JobStatus, 
 	s.mu.Lock()
 	js := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		if j.id > after {
+		if after == "" || seqLess(after, j.id) {
 			js = append(js, j)
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(js, func(a, b int) bool { return js[a].id < js[b].id })
+	sort.Slice(js, func(a, b int) bool { return seqLess(js[a].id, js[b].id) })
 	out := make([]JobStatus, 0, len(js))
 	last := ""
 	for _, j := range js {
@@ -592,7 +592,7 @@ func (s *Service) gcLocked(now time.Time) {
 		if !fa.finished.Equal(*fb.finished) {
 			return fa.finished.Before(*fb.finished)
 		}
-		return fa.id < fb.id
+		return seqLess(fa.id, fb.id)
 	})
 	for _, j := range finished[:n] {
 		delete(s.jobs, j.id)
@@ -656,7 +656,7 @@ func (s *Service) Shutdown(ctx context.Context) (DrainReport, error) {
 		}
 	}
 	s.mu.Unlock()
-	sort.Strings(rep.Abandoned)
+	sort.Slice(rep.Abandoned, func(a, b int) bool { return seqLess(rep.Abandoned[a], rep.Abandoned[b]) })
 	return rep, err
 }
 

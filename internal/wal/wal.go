@@ -245,25 +245,21 @@ func (l *Log) Cancel(id string) error {
 	return l.append(record{T: typeCancel, ID: id, At: time.Now().UnixNano()})
 }
 
-// Replan implements service.ReplanJournal.
+// Replan implements service.Journal.
 func (l *Log) Replan(id string, delta service.ReplanRequest) error {
 	d := delta
 	return l.append(record{T: typeReplan, ID: id, At: time.Now().UnixNano(), Delta: &d})
 }
 
-// SubmitBatch implements service.BatchJournal.
+// SubmitBatch implements service.Journal.
 func (l *Log) SubmitBatch(id string, req service.BatchRequest) error {
 	r := req
 	return l.append(record{T: typeBatchSubmit, ID: id, At: time.Now().UnixNano(), BReq: &r})
 }
 
-// FinishBatch implements service.BatchJournal.
+// FinishBatch implements service.Journal.
 func (l *Log) FinishBatch(id string, state, errMsg string) error {
 	return l.append(record{T: typeBatchFinish, ID: id, At: time.Now().UnixNano(), State: state, Err: errMsg})
 }
 
-var (
-	_ service.Journal       = (*Log)(nil)
-	_ service.BatchJournal  = (*Log)(nil)
-	_ service.ReplanJournal = (*Log)(nil)
-)
+var _ service.Journal = (*Log)(nil)

@@ -6,9 +6,10 @@ import (
 )
 
 // TestRunDeterministicAcrossWorkers pins the tentpole guarantee of the
-// parallel hot path: the full flow's outputs — the wrapper plan and every
-// per-phase statistic — are bit-identical no matter how many workers build
-// the cones and the sharing graph.
+// parallel hot path: the full flow's outputs — the wrapper plan, every
+// per-phase statistic and the share model read from the same sweep — are
+// bit-identical no matter how many workers build the cones, sweep the
+// pairs and load the sharing graph.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
@@ -26,6 +27,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := prep(t, tc.gates, tc.ffs, tc.in, tc.out, tc.seed)
 			var ref *Result
+			var refModel *ShareModel
 			for _, workers := range []int{1, 2, 3, 8} {
 				opts := DefaultOptions()
 				if tc.mutate != nil {
@@ -36,9 +38,17 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
+				model, err := BuildShareModel(in, opts, nil)
+				if err != nil {
+					t.Fatalf("workers=%d: share model: %v", workers, err)
+				}
+				model.Opts.Workers = 0 // the one field that echoes the worker count
 				if ref == nil {
-					ref = res
+					ref, refModel = res, model
 					continue
+				}
+				if !reflect.DeepEqual(model, refModel) {
+					t.Errorf("workers=%d: ShareModel differs from workers=1", workers)
 				}
 				if !reflect.DeepEqual(res.Assignment, ref.Assignment) {
 					t.Errorf("workers=%d: Assignment differs from workers=1", workers)

@@ -1,9 +1,8 @@
 package wcm
 
 import (
-	"fmt"
-
 	"wcm3d/internal/netlist"
+	"wcm3d/internal/par"
 	"wcm3d/internal/sta"
 )
 
@@ -16,12 +15,13 @@ import (
 // phase's items into pairwise-adjacent blocks under the load budget, plus an
 // assignment of flip-flops to blocks they are adjacent to.
 //
-// The model is built by the same Algorithm 1 machinery wcm.Run uses (cones,
-// thresholds, node filters), so its edges are exactly the edges the greedy
-// partitioner saw — with one deliberate difference: every eligible flip-flop
-// appears in both phases' candidate lists. Cross-phase exclusivity (a
-// flip-flop reused by phase one is gone for phase two) is a matching
-// constraint for the consumer, not baked into the model.
+// The model is read from the same Algorithm 1 edge sweep wcm.Run loads its
+// sharing graph from (cones, thresholds, node filters, one verdict per
+// pair), without building a graph, so its edges are exactly the edges the
+// greedy partitioner saw — with one deliberate difference: every eligible
+// flip-flop appears in both phases' candidate lists. Cross-phase
+// exclusivity (a flip-flop reused by phase one is gone for phase two) is a
+// matching constraint for the consumer, not baked into the model.
 type ShareModel struct {
 	// Opts echoes the effective configuration (WithDefaults applied).
 	Opts Options
@@ -91,29 +91,23 @@ func BuildShareModel(in Input, opts Options, secondTiming *sta.Result) (*ShareMo
 	for pi, inbound := range [2]bool{firstInbound, !firstInbound} {
 		phIn := in
 		phIn.Timing = timings[pi]
-		sp, err := buildSharePhase(phIn, opts, inbound)
-		if err != nil {
-			return nil, err
-		}
-		m.Phases[pi] = sp
+		m.Phases[pi] = buildSharePhase(phIn, opts, inbound)
 	}
 	return m, nil
 }
 
-// buildSharePhase runs one phase's Algorithm 1 graph construction with every
-// flip-flop available and reads the resulting graph back as plain data.
-func buildSharePhase(in Input, opts Options, inbound bool) (*SharePhase, error) {
+// buildSharePhase runs one phase's Algorithm 1 edge sweep with every
+// flip-flop available and reads the verdicts back as plain data. Node ids
+// are the sweep's: items in admission order, then flip-flops.
+func buildSharePhase(in Input, opts Options, inbound bool) *SharePhase {
 	n := in.Netlist
 	available := make(map[netlist.SignalID]bool, len(n.FlipFlops()))
 	for _, ff := range n.FlipFlops() {
 		available[ff] = true
 	}
 	ph := &phaseRunner{in: in, opts: opts, inbound: inbound, available: available}
-	var stats PhaseStats
-	items, excluded, err := ph.buildGraph(&stats)
-	if err != nil {
-		return nil, err
-	}
+	vt := ph.sweep()
+	defer vt.release()
 	sp := &SharePhase{Inbound: inbound, MaxMembers: ph.maxMembers}
 	itemOf := func(i int) ShareItem {
 		it := ShareItem{Sig: ph.tsvSignals[i], Port: -1}
@@ -122,35 +116,31 @@ func buildSharePhase(in Input, opts Options, inbound bool) (*SharePhase, error) 
 		}
 		return it
 	}
-	for _, i := range items {
+	for _, i := range ph.items {
 		sp.Items = append(sp.Items, itemOf(i))
 	}
-	for _, i := range excluded {
+	for _, i := range ph.excluded {
 		sp.Excluded = append(sp.Excluded, itemOf(i))
 	}
-	// Graph node ids: items in admission order first, then flip-flops (the
-	// AddNode order of buildGraph).
-	nItems := len(items)
+	nItems := len(ph.items)
 	sp.ItemAdj = make([][]int32, nItems)
-	for id := 0; id < nItems; id++ {
-		ph.graph.Neighbors(id, func(nb int) {
-			if nb < nItems {
-				sp.ItemAdj[id] = append(sp.ItemAdj[id], int32(nb))
-			}
-		})
+	if len(ph.ffs) > 0 {
+		sp.FFs = make([]ShareFF, len(ph.ffs))
 	}
-	for id := nItems; id < ph.graph.NumAlive(); id++ {
-		node := ph.graph.Node(id)
-		if !node.HasFF {
-			return nil, fmt.Errorf("wcm: share model: node %d past the item range is not a flip-flop", id)
+	// Every node's adjacency lists only items, sorted ascending; rows are
+	// independent, so they read in parallel.
+	par.Do(opts.Workers, vt.nNodes, func(_, id int) {
+		var adj []int32
+		for nb := 0; nb < nItems; nb++ {
+			if nb != id && vt.get(id, nb) != edgeNone {
+				adj = append(adj, int32(nb))
+			}
 		}
-		ff := ShareFF{Sig: netlist.SignalID(node.FF)}
-		ph.graph.Neighbors(id, func(nb int) {
-			if nb < nItems {
-				ff.Adj = append(ff.Adj, int32(nb))
-			}
-		})
-		sp.FFs = append(sp.FFs, ff)
-	}
-	return sp, nil
+		if id < nItems {
+			sp.ItemAdj[id] = adj
+		} else {
+			sp.FFs[id-nItems] = ShareFF{Sig: ph.ffs[id-nItems], Adj: adj}
+		}
+	})
+	return sp
 }

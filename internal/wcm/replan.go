@@ -19,7 +19,7 @@ import (
 //     are stripped by the mask before any overlap test. The masked cone is
 //     bit-identical before and after the patch.
 //   - Edge verdicts (none / clean / overlap), keyed by the unordered slot
-//     pair. edgeAllowed reads placement coordinates, the member-count
+//     pair. edgeAllowed reads the two placed cells, the member-count
 //     load bound (a pair fits it iff a clique of its size does, whatever
 //     the item count), anchors and masked cones — never slacks — so a
 //     verdict is a pure function of frozen die geometry. Slacks only decide
@@ -58,8 +58,9 @@ import (
 // through membership (the item filters and ffEligible), so two runs with
 // identical membership and slots produce identical phases even when the
 // refreshed slack values differ. A phase whose inputs changed (the dirty
-// phase after a repair) rebuilds, but assembles its graph in bulk from
-// the verdict matrix rather than replaying per-edge insertions.
+// phase after a repair) rebuilds: it prices only the verdict cells it
+// has never seen, then loads its graph from the verdict matrix through
+// the same row-parallel loader every from-scratch run uses.
 //
 // A Session is not safe for concurrent use.
 type Session struct {
@@ -125,7 +126,7 @@ func (s *Session) MemoStats() (slots, verdicts int) {
 	return slots, verdicts
 }
 
-// slotKey identifies one memo slot: a graph node's stable identity across
+// slotKey identifies one memo slot: a sweep node's stable identity across
 // runs. Items and flip-flop nodes live in separate key spaces because an
 // outbound port's anchor (its driving signal) can collide with a
 // flip-flop's D driver while their node parameters differ.

@@ -133,16 +133,18 @@ type phaseRunner struct {
 	cones      *netlist.ConeSet
 	sourceMask *netlist.BitSet // sources excluded from cone-overlap tests
 	graph      *wcmgraph.Graph
-	// nodeMasked and nodeAnchor index the sharing-relevant cone and
-	// anchor signal by graph node id, so the O(n²) edge sweep does two
-	// array loads per pair instead of map lookups. nodeMasked is the cone
+	// The node arrays describe the phase's nodes by id — items in
+	// admission order [0, len(items)), then flip-flops — so the O(n²)
+	// edge sweep does array loads per pair instead of map lookups.
+	// nodeAnchor is the cone anchor, nodePlaced the signal whose placed
+	// cell d_th measures (a flip-flop's own cell, also on the observe
+	// side where its anchor is the D driver), and nodeMasked the cone
 	// with shared-source signals already stripped (cone &^ sourceMask),
 	// so the pair test is one AND per word instead of a double-mask pass.
-	// Valid for the initial (pre-merge) nodes only — exactly the ones the
-	// sweep visits.
-	nodeMasked []*netlist.BitSet
 	nodeAnchor []netlist.SignalID
-	// nodeSlot maps graph node id to the session memo slot (memo != nil).
+	nodePlaced []netlist.SignalID
+	nodeMasked []*netlist.BitSet
+	// nodeSlot maps node id to the session memo slot (memo != nil).
 	nodeSlot []int32
 }
 
@@ -153,8 +155,7 @@ func (ph *phaseRunner) run(asn *scan.Assignment) (PhaseStats, error) {
 			ph.graph.Release() // adjacency rows back to the word pools
 		}
 	}()
-	_, excluded, err := ph.buildGraph(&stats)
-	if err != nil {
+	if err := ph.buildGraph(&stats); err != nil {
 		return stats, err
 	}
 
@@ -178,7 +179,7 @@ func (ph *phaseRunner) run(asn *scan.Assignment) (PhaseStats, error) {
 		}
 		ph.emitGroup(asn, ffSig, node.Members)
 	}
-	for _, i := range excluded {
+	for _, i := range ph.excluded {
 		ph.emitGroup(asn, netlist.InvalidSignal, []int32{int32(i)})
 	}
 	return stats, nil
@@ -188,7 +189,7 @@ func (ph *phaseRunner) run(asn *scan.Assignment) (PhaseStats, error) {
 // 1-14) plus flip-flop eligibility, leaving the phase's membership lists
 // in ph.items/ph.excluded/ph.ffs. Idempotent: the session probes a
 // phase's membership before deciding whether to replay it from cache, and
-// buildGraph reuses the collected lists.
+// sweep reuses the collected lists.
 func (ph *phaseRunner) collect() {
 	if ph.collected {
 		return
@@ -256,44 +257,42 @@ func (ph *phaseRunner) itemLoadFF() float64 {
 	return lib.TSVCapFF + lib.Of(netlist.GateXor).InputCapFF
 }
 
-// buildGraph runs Algorithm 1 end to end — item collection and node
-// filters, cone precomputation, node construction, and the parallel edge
-// sweep — leaving the constructed sharing graph in ph.graph. It returns
-// the item indices that entered the graph and the ones excluded to
-// dedicated cells. Split from run so the graph-construction hot path can
-// be measured (BenchmarkGraphBuild) apart from the partitioner.
-func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err error) {
+// sweep runs Algorithm 1 up to its edge verdicts — item collection and
+// node filters, cone precomputation, the node arrays, and the parallel
+// edge sweep (lines 16-26) — and returns the verdict table every sharing
+// graph is loaded from. The caller releases the table.
+func (ph *phaseRunner) sweep() *verdictTable {
 	n := ph.in.Netlist
 	ph.collect()
-	items, excluded, ffs := ph.items, ph.excluded, ph.ffs
-	stats.FilteredTSVs = len(excluded)
+	nItems := len(ph.items)
+	nNodes := nItems + len(ph.ffs)
+	ph.nodeAnchor = make([]netlist.SignalID, nNodes)
+	ph.nodePlaced = make([]netlist.SignalID, nNodes)
+	for id, i := range ph.items {
+		ph.nodeAnchor[id] = ph.tsvSignals[i]
+		ph.nodePlaced[id] = ph.tsvSignals[i]
+	}
+	for k, ff := range ph.ffs {
+		// An observe-side flip-flop shares through its D input: its cone
+		// and anchor are its D driver's.
+		anchor := ff
+		if !ph.inbound {
+			anchor = n.Gate(ff).Fanin[0]
+		}
+		ph.nodeAnchor[nItems+k] = anchor
+		ph.nodePlaced[nItems+k] = ff
+	}
 
 	// Cones: fan-out side for control sharing, fan-in side for
-	// observation sharing.
-	ffConeSig := func(ff netlist.SignalID) netlist.SignalID {
-		if ph.inbound {
-			return ff
-		}
-		return n.Gate(ff).Fanin[0]
-	}
+	// observation sharing. A session run only traverses cones its memo
+	// has never seen; everything else is served from the cached masked
+	// cones.
 	var coneSignals []netlist.SignalID
-	if ph.memo == nil {
-		coneSignals = append(coneSignals, ph.tsvSignals...)
-		for _, ff := range ffs {
-			coneSignals = append(coneSignals, ffConeSig(ff))
-		}
-	} else {
-		// A session run only traverses cones its memo has never seen;
-		// everything else is served from the cached masked cones.
-		for _, i := range items {
-			if _, ok := ph.memo.slots[slotKey{ff: false, sig: ph.tsvSignals[i]}]; !ok {
-				coneSignals = append(coneSignals, ph.tsvSignals[i])
-			}
-		}
-		for _, ff := range ffs {
-			if _, ok := ph.memo.slots[slotKey{ff: true, sig: ff}]; !ok {
-				coneSignals = append(coneSignals, ffConeSig(ff))
-			}
+	for id, sig := range ph.nodeAnchor {
+		if ph.memo == nil {
+			coneSignals = append(coneSignals, sig)
+		} else if _, ok := ph.memo.slots[ph.slotKey(id)]; !ok {
+			coneSignals = append(coneSignals, sig)
 		}
 	}
 	ph.cones = netlist.NewConeSetArena(n, coneSignals, ph.opts.Workers, ph.arena)
@@ -304,135 +303,50 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 			ph.sourceMask.Set(id)
 		}
 	}
-
-	// ----- Node construction.
-	ph.graph = wcmgraph.New(len(items) + len(ffs))
-	tsvNode := make([]int, len(ph.tsvSignals))
-	for i := range tsvNode {
-		tsvNode[i] = -1
-	}
-	for _, i := range items {
-		node := ph.placedNode(ph.tsvSignals[i])
-		node.Members = []int32{int32(i)}
-		id, err := ph.graph.AddNode(node)
-		if err != nil {
-			return nil, nil, err
-		}
-		tsvNode[i] = id
-	}
-	ffNode := make([]int, 0, len(ffs))
-	for _, ff := range ffs {
-		node := ph.placedNode(ff)
-		node.HasFF, node.FF = true, int32(ff)
-		id, err := ph.graph.AddNode(node)
-		if err != nil {
-			return nil, nil, err
-		}
-		ffNode = append(ffNode, id)
-	}
-	stats.Nodes = ph.graph.NumAlive()
-
-	// ----- Edge construction (Algorithm 1, lines 16-26). The pair space
-	// is O(items × (items + ffs)) evaluations of edgeAllowed — pure reads
-	// over the precomputed cones and node fields — so rows are striped
-	// across a worker pool, each worker writing verdicts into its rows of
-	// a flat buffer. The verdicts are then applied to the graph in the
-	// serial (i, j) order, so the graph and the running stats come out
-	// byte-identical at every worker count.
-	nNodes := len(items) + len(ffs)
 	ph.nodeMasked = make([]*netlist.BitSet, nNodes)
-	ph.nodeAnchor = make([]netlist.SignalID, nNodes)
-	for id := 0; id < nNodes; id++ {
-		ph.nodeAnchor[id] = ph.anchor(id)
-	}
-	if ph.memo == nil {
-		nodeCone := make([]*netlist.BitSet, nNodes)
-		for id := 0; id < nNodes; id++ {
-			nodeCone[id] = ph.coneOf(id)
-		}
-		par.Do(ph.opts.Workers, nNodes, func(_, id int) {
-			ph.nodeMasked[id] = nodeCone[id].AndNotInto(ph.sourceMask, ph.arena.NewBitSet(n.NumGates()))
-		})
-	} else {
-		ph.nodeSlot = make([]int32, nNodes)
-		for id := 0; id < nNodes; id++ {
-			var key slotKey
-			if node := ph.graph.Node(id); node.HasFF {
-				key = slotKey{ff: true, sig: netlist.SignalID(node.FF)}
-			} else {
-				key = slotKey{ff: false, sig: ph.tsvSignals[node.Members[0]]}
-			}
-			slot, hit := ph.memo.slotFor(key)
-			ph.nodeSlot[id] = slot
-			if !hit {
-				// Plain allocation: the memoized masked cone outlives
-				// this phase's arena.
-				ph.memo.masked[slot] = ph.coneOf(id).AndNotInto(ph.sourceMask, netlist.NewBitSet(n.NumGates()))
-			}
-			ph.nodeMasked[id] = ph.memo.masked[slot]
-		}
-		ph.memo.verd.ensure(len(ph.memo.masked))
-	}
 	if ph.memo != nil {
-		// Session runs assemble the graph in bulk from the verdict matrix
-		// instead of replaying per-edge insertions.
-		return items, excluded, ph.buildEdgesBulk(stats, len(items), nNodes)
+		return ph.sweepSession(nNodes)
 	}
-	offs := make([]int, len(items)+1)
-	for i := 0; i < len(items); i++ {
-		offs[i+1] = offs[i] + (len(items) - 1 - i) + len(ffNode)
-	}
-	verdicts := getVerdicts(offs[len(items)])
-	defer putVerdicts(verdicts)
-	par.Do(ph.opts.Workers, len(items), func(_, i int) {
-		k := offs[i]
-		for j := i + 1; j < len(items); j++ {
-			verdicts[k] = ph.edgeVerdict(tsvNode[items[i]], tsvNode[items[j]])
-			k++
-		}
-		for _, fid := range ffNode {
-			verdicts[k] = ph.edgeVerdict(tsvNode[items[i]], fid)
-			k++
+	par.Do(ph.opts.Workers, nNodes, func(_, id int) {
+		ph.nodeMasked[id] = ph.coneOf(id).AndNotInto(ph.sourceMask, ph.arena.NewBitSet(n.NumGates()))
+	})
+
+	// ----- Edge construction. The pair space is every item paired with
+	// every later node: O(items × (items + ffs)) evaluations of
+	// edgeAllowed, pure reads over the node arrays. Rows are striped
+	// across a worker pool, each worker writing verdicts into its rows of
+	// a flat triangle, so the table is identical at every worker count.
+	vt := &verdictTable{nItems: nItems, nNodes: nNodes}
+	vt.tri = getVerdicts(vt.triOffset(nItems))
+	par.Do(ph.opts.Workers, nItems, func(_, a int) {
+		row := vt.tri[vt.triOffset(a):]
+		for b := a + 1; b < nNodes; b++ {
+			row[b-a-1] = ph.edgeVerdict(a, b)
 		}
 	})
-	apply := func(a, b int, v uint8) {
-		switch v {
-		case edgeClean:
-			ph.graph.AddEdge(a, b)
-		case edgeOverlap:
-			ph.graph.AddOverlapEdge(a, b)
-			stats.OverlapEdges++
-		}
-	}
-	for i := 0; i < len(items); i++ {
-		k := offs[i]
-		for j := i + 1; j < len(items); j++ {
-			apply(tsvNode[items[i]], tsvNode[items[j]], verdicts[k])
-			k++
-		}
-		for _, fid := range ffNode {
-			apply(tsvNode[items[i]], fid, verdicts[k])
-			k++
-		}
-	}
-	stats.Edges = ph.graph.NumEdges()
-	return items, excluded, nil
+	return vt
 }
 
-// buildEdgesBulk is the session-run edge constructor. The verdict matrix
-// is the authoritative, order-independent edge set: unknown cells (pairs
-// involving a slot the memo has never priced, or old slots never
-// co-present in one run) are computed and filled in first, then every
-// node's adjacency row is written directly from the matrix — row-local
-// writes, so rows build in parallel at any worker count — and the degree
-// indexes are built in one pass. The resulting graph state is
-// bit-identical to the per-edge path: bitset rows are sets, counters are
-// popcounts, and the degree buckets hold the same members, so the
-// partitioner's pick sequence is unchanged. Item nodes occupy ids
-// [0, nItems); their rows span all nodes. Flip-flop rows only carry item
-// bits — flip-flop pairs are never in the pair space.
-func (ph *phaseRunner) buildEdgesBulk(stats *PhaseStats, nItems, nNodes int) error {
+// sweepSession is the sweep of a session run. The memo's verdict matrix
+// is the authoritative, order-independent edge set: only unknown cells
+// (pairs involving a slot the memo has never priced, or old slots never
+// co-present in one run) are computed and filled in.
+func (ph *phaseRunner) sweepSession(nNodes int) *verdictTable {
+	n := ph.in.Netlist
 	memo := ph.memo
+	nItems := len(ph.items)
+	ph.nodeSlot = make([]int32, nNodes)
+	for id := 0; id < nNodes; id++ {
+		slot, hit := memo.slotFor(ph.slotKey(id))
+		ph.nodeSlot[id] = slot
+		if !hit {
+			// Plain allocation: the memoized masked cone outlives this
+			// phase's arena.
+			memo.masked[slot] = ph.coneOf(id).AndNotInto(ph.sourceMask, netlist.NewBitSet(n.NumGates()))
+		}
+		ph.nodeMasked[id] = memo.masked[slot]
+	}
+	memo.verd.ensure(len(memo.masked))
 	var unkA, unkB []int32
 	for a := 0; a < nItems; a++ {
 		sa := ph.nodeSlot[a]
@@ -460,19 +374,48 @@ func (ph *phaseRunner) buildEdgesBulk(stats *PhaseStats, nItems, nNodes int) err
 		}
 		putVerdicts(buf)
 	}
-	par.Do(ph.opts.Workers, nNodes, func(_, id int) {
-		adjRow, cleanRow := ph.graph.BulkRows(id)
-		sa := ph.nodeSlot[id]
-		hi := nNodes
-		if id >= nItems {
-			hi = nItems
+	return &verdictTable{nItems: nItems, nNodes: nNodes, memo: memo, slot: ph.nodeSlot}
+}
+
+// slotKey is node id's session memo key.
+func (ph *phaseRunner) slotKey(id int) slotKey {
+	if id < len(ph.items) {
+		return slotKey{ff: false, sig: ph.nodeAnchor[id]}
+	}
+	return slotKey{ff: true, sig: ph.nodePlaced[id]}
+}
+
+// buildGraph sweeps the phase and loads the verdicts into the sharing
+// graph ph.graph: one node per item, then one per flip-flop, so graph ids
+// are node ids. Every node's adjacency row is written straight from the
+// verdict table — row-local writes, so rows load in parallel at any
+// worker count — and the degree indexes are derived in one pass, so the
+// graph is identical at every worker count. Split from run so graph
+// construction can be measured (BenchmarkGraphBuild) apart from the
+// partitioner.
+func (ph *phaseRunner) buildGraph(stats *PhaseStats) error {
+	vt := ph.sweep()
+	defer vt.release()
+	stats.FilteredTSVs = len(ph.excluded)
+	ph.graph = wcmgraph.New(vt.nNodes)
+	for _, i := range ph.items {
+		if _, err := ph.graph.AddNode(wcmgraph.Node{Members: []int32{int32(i)}}); err != nil {
+			return err
 		}
-		for b := 0; b < hi; b++ {
-			sb := ph.nodeSlot[b]
-			if b == id || sa == sb {
+	}
+	for _, ff := range ph.ffs {
+		if _, err := ph.graph.AddNode(wcmgraph.Node{HasFF: true, FF: int32(ff)}); err != nil {
+			return err
+		}
+	}
+	stats.Nodes = vt.nNodes
+	par.Do(ph.opts.Workers, vt.nNodes, func(_, id int) {
+		adjRow, cleanRow := ph.graph.BulkRows(id)
+		for b, end := 0, vt.rowEnd(id); b < end; b++ {
+			if b == id {
 				continue
 			}
-			switch memo.verd.get(sa, sb) {
+			switch vt.get(id, b) {
 			case edgeClean:
 				adjRow[b>>6] |= 1 << (uint(b) & 63)
 				cleanRow[b>>6] |= 1 << (uint(b) & 63)
@@ -485,18 +428,6 @@ func (ph *phaseRunner) buildEdgesBulk(stats *PhaseStats, nItems, nNodes int) err
 	stats.Edges = edges
 	stats.OverlapEdges = edges - cleanEdges
 	return nil
-}
-
-// placedNode returns a fresh node whose bounding box is the placed
-// position of sig (a point; zero without a placement).
-func (ph *phaseRunner) placedNode(sig netlist.SignalID) wcmgraph.Node {
-	var node wcmgraph.Node
-	if ph.in.Placement != nil {
-		pt := ph.in.Placement.Coords[sig]
-		node.X, node.Y = pt.X, pt.Y
-		node.X2, node.Y2 = pt.X, pt.Y
-	}
-	return node
 }
 
 // tapCostPS is the functional delay penalty a fold tap puts on the
@@ -533,21 +464,71 @@ func (ph *phaseRunner) ffEligible(ff netlist.SignalID) bool {
 	return muxDelay <= ph.in.Timing.SlackPS(d)-ph.opts.SlackThPS
 }
 
-// Edge verdicts recorded by the parallel sweep and replayed serially.
+// Edge verdicts recorded by the sweep.
 const (
 	edgeNone uint8 = iota
 	edgeClean
 	edgeOverlap
 )
 
+// verdictTable is a phase's edge verdicts, the one source its sharing
+// graph and its share model load from. Pairs are node ids with at least
+// one item: flip-flop pairs are never in the pair space. A plain run
+// keeps the verdicts in a per-run triangle whose row a holds the pairs
+// (a, a+1 … nNodes-1) of item a; a session run reads its memo's
+// slot × slot matrix.
+type verdictTable struct {
+	nItems, nNodes int
+	tri            []uint8
+	memo           *phaseMemo
+	slot           []int32
+}
+
+// triOffset is the start of item row a in the triangle; triOffset(nItems)
+// is the triangle's size.
+func (vt *verdictTable) triOffset(a int) int {
+	return a * (2*vt.nNodes - a - 1) / 2
+}
+
+// rowEnd bounds node id's pair partners: every node for an item, only
+// the items for a flip-flop.
+func (vt *verdictTable) rowEnd(id int) int {
+	if id < vt.nItems {
+		return vt.nNodes
+	}
+	return vt.nItems
+}
+
+// get returns the verdict of the pair (a, b), a ≠ b, in either order.
+func (vt *verdictTable) get(a, b int) uint8 {
+	if a > b {
+		a, b = b, a
+	}
+	if vt.memo == nil {
+		return vt.tri[vt.triOffset(a)+b-a-1]
+	}
+	sa, sb := vt.slot[a], vt.slot[b]
+	if sa == sb {
+		return edgeNone // one anchor: see sweepSession
+	}
+	return vt.memo.verd.get(sa, sb)
+}
+
+// release returns a plain run's triangle to the pool.
+func (vt *verdictTable) release() {
+	if vt.tri != nil {
+		putVerdicts(vt.tri)
+		vt.tri = nil
+	}
+}
+
 // verdictPool recycles the O(items × nodes) verdict buffer across phases
 // and runs — at a few MB per large die it is the single biggest transient
 // allocation outside the bitsets.
 var verdictPool sync.Pool
 
-// getVerdicts returns an uninitialized buffer: the parallel sweep writes
-// every slot before the serial replay reads any, so no zeroing pass is
-// needed.
+// getVerdicts returns an uninitialized buffer: the sweep writes every
+// slot before any reader sees it, so no zeroing pass is needed.
 func getVerdicts(n int) []uint8 {
 	if v, _ := verdictPool.Get().(*[]uint8); v != nil && cap(*v) >= n {
 		return (*v)[:n]
@@ -573,21 +554,24 @@ func (ph *phaseRunner) edgeVerdict(a, b int) uint8 {
 	}
 }
 
-// edgeAllowed evaluates Algorithm 1's edge conditions for two graph nodes.
-// It performs only reads (graph nodes, precomputed cones, the netlist), so
-// the edge sweep may call it from many workers at once.
+// edgeAllowed evaluates Algorithm 1's edge conditions for the nodes a < b
+// (a is always an item). It reads only the node arrays, the netlist and
+// the placement, so the edge sweep may call it from many workers at once.
 func (ph *phaseRunner) edgeAllowed(a, b int) (ok, overlap bool) {
-	na, nb := ph.graph.Node(a), ph.graph.Node(b)
-	// Distance threshold: the merged clique's span must stay within d_th
-	// so no member's test wiring runs farther than that.
-	if !math.IsInf(ph.opts.DistThUM, 1) && ph.in.Placement != nil {
-		if wcmgraph.BBoxUnionDiameter(na, nb) >= ph.opts.DistThUM {
-			return false, false
-		}
+	// Distance threshold: the pair's span must stay within d_th so no
+	// member's test wiring runs farther than that.
+	if !math.IsInf(ph.opts.DistThUM, 1) && ph.in.Placement != nil &&
+		ph.in.Placement.Distance(ph.nodePlaced[a], ph.nodePlaced[b]) >= ph.opts.DistThUM {
+		return false, false
 	}
-	// The pair must be mergeable at all under the load bound, otherwise
-	// the edge only wastes partitioning effort.
-	if !ph.mergeFits(na, nb) {
+	// The pair must be mergeable at all under the load bound (mergeFits),
+	// otherwise the edge only wastes partitioning effort: two items make
+	// a two-member clique, an item and a flip-flop a one-member one.
+	members := 2
+	if b >= len(ph.items) {
+		members = 1
+	}
+	if members > ph.maxMembers {
 		return false, false
 	}
 	// Cone conditions.
@@ -612,36 +596,13 @@ func (ph *phaseRunner) edgeAllowed(a, b int) (ok, overlap bool) {
 	return false, false
 }
 
-// coneOf returns the sharing-relevant cone of a (non-merged) graph node.
+// coneOf returns the sharing-relevant cone of a node: fan-out on the
+// control side, fan-in on the observe side, traversed from its anchor.
 func (ph *phaseRunner) coneOf(id int) *netlist.BitSet {
-	n := ph.in.Netlist
-	node := ph.graph.Node(id)
-	if node.HasFF {
-		ff := netlist.SignalID(node.FF)
-		if ph.inbound {
-			return ph.cones.Fanout(ff)
-		}
-		return ph.cones.Fanin(n.Gate(ff).Fanin[0])
-	}
-	sig := ph.tsvSignals[node.Members[0]]
 	if ph.inbound {
-		return ph.cones.Fanout(sig)
+		return ph.cones.Fanout(ph.nodeAnchor[id])
 	}
-	return ph.cones.Fanin(sig)
-}
-
-// anchor returns the signal a node anchors on. Two nodes can share an
-// anchor on the outbound side, when a flip-flop's D driver also feeds a
-// TSV port; such pairs never get an edge.
-func (ph *phaseRunner) anchor(id int) netlist.SignalID {
-	node := ph.graph.Node(id)
-	if node.HasFF {
-		if ph.inbound {
-			return netlist.SignalID(node.FF)
-		}
-		return ph.in.Netlist.Gate(netlist.SignalID(node.FF)).Fanin[0]
-	}
-	return ph.tsvSignals[node.Members[0]]
+	return ph.cones.Fanin(ph.nodeAnchor[id])
 }
 
 // partition runs paper Algorithm 2: repeatedly take the minimum-degree

@@ -2,6 +2,7 @@ package wcm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"wcm3d/internal/scan"
@@ -258,6 +259,45 @@ func TestDistanceThresholdPrunesEdges(t *testing.T) {
 	if rNear.Phases[0].Edges >= rFar.Phases[0].Edges {
 		t.Errorf("d_th=30µm first-phase edges %d, want < unlimited %d",
 			rNear.Phases[0].Edges, rFar.Phases[0].Edges)
+	}
+
+	// Boundary: the test is distance < d_th, so a TSV–flip-flop pair
+	// exactly d_th apart gets no edge and one ulp more of d_th admits it.
+	model, err := BuildShareModel(in, far, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, item, dist := -1, int32(-1), 0.0
+	for f, ff := range model.Phases[0].FFs {
+		for _, k := range ff.Adj {
+			if d := in.Placement.Distance(model.Phases[0].Items[k].Sig, ff.Sig); d > 0 {
+				fi, item, dist = f, k, d
+				break
+			}
+		}
+		if fi >= 0 {
+			break
+		}
+	}
+	if fi < 0 {
+		t.Fatal("no TSV–flip-flop edge at a positive distance")
+	}
+	for _, tc := range []struct {
+		dth  float64
+		want bool
+	}{
+		{dist, false},
+		{math.Nextafter(dist, math.Inf(1)), true},
+	} {
+		opts := far
+		opts.DistThUM = tc.dth
+		m, err := BuildShareModel(in, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Contains(m.Phases[0].FFs[fi].Adj, item); got != tc.want {
+			t.Errorf("pair %v apart, d_th %v: edge = %v, want %v", dist, tc.dth, got, tc.want)
+		}
 	}
 }
 

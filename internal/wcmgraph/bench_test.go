@@ -8,10 +8,9 @@ import (
 // graphSpec is a reusable recipe for rebuilding identical graphs cheaply
 // inside a benchmark loop (no RNG on the hot path).
 type graphSpec struct {
-	nodes   int
-	ff      []bool
-	edges   [][2]int32
-	overlap []bool
+	nodes int
+	ff    []bool
+	edges []edge
 }
 
 func makeSpec(nodes int, density float64, seed int64) *graphSpec {
@@ -23,8 +22,7 @@ func makeSpec(nodes int, density float64, seed int64) *graphSpec {
 	for a := 0; a < nodes; a++ {
 		for b := a + 1; b < nodes; b++ {
 			if rng.Float64() < density {
-				sp.edges = append(sp.edges, [2]int32{int32(a), int32(b)})
-				sp.overlap = append(sp.overlap, rng.Intn(4) == 0)
+				sp.edges = append(sp.edges, edge{a: a, b: b, overlap: rng.Intn(4) == 0})
 			}
 		}
 	}
@@ -43,13 +41,7 @@ func (sp *graphSpec) build() *Graph {
 			panic(err)
 		}
 	}
-	for i, e := range sp.edges {
-		if sp.overlap[i] {
-			g.AddOverlapEdge(int(e[0]), int(e[1]))
-		} else {
-			g.AddEdge(int(e[0]), int(e[1]))
-		}
-	}
+	loadEdges(g, sp.edges)
 	return g
 }
 

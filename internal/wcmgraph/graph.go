@@ -8,11 +8,14 @@
 // largest ITC'99 dies hold a few thousand nodes, so a bitset row is a few
 // hundred bytes; intersections (the common-neighbor computation every merge
 // needs) are word-parallel ANDs.
+//
+// Edges enter only in bulk (BulkRows, then FinishBulkEdges). From then on
+// the graph only shrinks: the partitioner deletes edges and merges
+// adjacent nodes.
 package wcmgraph
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"wcm3d/internal/wordpool"
@@ -26,16 +29,11 @@ type Node struct {
 	// the graph itself does not interpret it).
 	FF int32
 	// Members are caller-defined TSV indices merged into this clique.
-	Members  []int32
-	cleanDeg int32
-	// X, Y / X2, Y2 are the clique's bounding box (µm): the area its
-	// members span. Merges take the union. The box bounds how much wire
-	// any member needs to reach a shared wrapper cell.
-	X, Y   float64
-	X2, Y2 float64
+	Members []int32
 
-	alive bool
-	deg   int32
+	alive    bool
+	deg      int32
+	cleanDeg int32
 }
 
 // Alive reports whether the node still exists (not merged away).
@@ -60,8 +58,8 @@ type Graph struct {
 	// partitioner's min-degree selection is near-O(1) instead of a scan
 	// over all nodes per merge. First axis: plane (all edges, clean
 	// edges); second axis: whether flip-flop nodes are filtered out.
-	// Every degree mutation flows through bumpDeg/bumpCleanDeg to keep
-	// the four views consistent.
+	// Every degree mutation flows through reindex to keep the four views
+	// consistent.
 	degIdx [2][2]degIndex
 	// pick caches min-degree-neighbor candidates between merges (see
 	// pickCache).
@@ -161,9 +159,9 @@ func (x *degIndex) min() (int, bool) {
 // advances the cursor, so repeated picks without a mutation return the
 // same pair. Tiers that found no eligible neighbor are remembered too
 // (negN1): edge deletions can never create eligibility, so a failing
-// (tier, n1) keeps failing until a merge or edge insertion. Exactness
-// rests on every mutation going through AddNode, addEdge, DeleteEdge or
-// Merge, which keep or drop the cache (bulk loading precedes any pick).
+// (tier, n1) keeps failing until a merge. Edges only ever enter in bulk,
+// before any pick; after that, exactness rests on every mutation going
+// through AddNode, DeleteEdge or Merge, which keep or drop the cache.
 // A peek also re-checks the candidate's adjacency and recorded degree and
 // rescans when either moved; that guard sees only the candidate, not a
 // neighbor whose degree changed behind the cache's back.
@@ -238,17 +236,6 @@ func (g *Graph) reindex(plane, id int, old, cur int32, hasFF bool) {
 	}
 }
 
-// NumAlive returns the number of live nodes.
-func (g *Graph) NumAlive() int {
-	c := 0
-	for i := range g.nodes {
-		if g.nodes[i].alive {
-			c++
-		}
-	}
-	return c
-}
-
 // NumEdges returns the current number of edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
@@ -261,14 +248,8 @@ func (g *Graph) AddNode(n Node) (int, error) {
 	if len(g.nodes) >= g.cap {
 		return -1, fmt.Errorf("wcmgraph: node capacity %d exhausted", g.cap)
 	}
-	if n.X2 < n.X {
-		n.X2 = n.X
-	}
-	if n.Y2 < n.Y {
-		n.Y2 = n.Y
-	}
 	n.alive = true
-	n.deg, n.cleanDeg = 0, 0 // a new node enters the degree indexes via bumpDeg
+	n.deg, n.cleanDeg = 0, 0 // a new node enters the degree indexes with its first edges
 	g.invalidatePicks()
 	id := len(g.nodes)
 	g.nodes = append(g.nodes, n)
@@ -307,37 +288,12 @@ func (g *Graph) HasEdge(a, b int) bool {
 	return g.adj[a][b>>6]&(1<<(uint(b)&63)) != 0
 }
 
-// AddEdge connects a and b with a clean edge (idempotent; self-loops
-// rejected).
-func (g *Graph) AddEdge(a, b int) { g.addEdge(a, b, false) }
-
-// AddOverlapEdge connects a and b with an overlap-quality edge.
-func (g *Graph) AddOverlapEdge(a, b int) { g.addEdge(a, b, true) }
-
-func (g *Graph) addEdge(a, b int, overlap bool) {
-	if a == b || g.HasEdge(a, b) {
-		return
-	}
-	g.invalidatePicks()
-	g.adj[a][b>>6] |= 1 << (uint(b) & 63)
-	g.adj[b][a>>6] |= 1 << (uint(a) & 63)
-	g.bumpDeg(a, 1)
-	g.bumpDeg(b, 1)
-	g.edges++
-	if !overlap {
-		g.clean[a][b>>6] |= 1 << (uint(b) & 63)
-		g.clean[b][a>>6] |= 1 << (uint(a) & 63)
-		g.bumpCleanDeg(a, 1)
-		g.bumpCleanDeg(b, 1)
-	}
-}
-
-// BulkRows exposes a node's adjacency and clean-plane rows for direct
-// bulk loading: a caller that already knows the whole edge set (the
-// session's verdict matrix) writes neighbor bits straight into the rows —
-// row-local, so rows load in parallel — and then calls FinishBulkEdges
-// once. The caller owns symmetry (bit b in row a iff bit a in row b) and
-// the clean-subset invariant (clean bits only where adjacency bits are).
+// BulkRows exposes a node's adjacency and clean-plane rows, the one way
+// edges enter a graph: the caller, which knows the whole edge set up
+// front, writes neighbor bits straight into the rows — row-local, so rows
+// load in parallel — and then calls FinishBulkEdges once. The caller owns
+// symmetry (bit b in row a iff bit a in row b) and the clean-subset
+// invariant (clean bits only where adjacency bits are).
 func (g *Graph) BulkRows(id int) (adj, clean []uint64) {
 	return g.adj[id], g.clean[id]
 }
@@ -345,10 +301,9 @@ func (g *Graph) BulkRows(id int) (adj, clean []uint64) {
 // FinishBulkEdges derives every degree counter, the edge count, and the
 // degree-bucket indexes from rows loaded via BulkRows. It must run on a
 // graph whose edges were only ever written through BulkRows (the indexes
-// are assumed empty, as AddNode leaves them). The resulting graph state
-// is identical to one built edge-by-edge with AddEdge/AddOverlapEdge:
-// rows are order-independent sets and the bucket indexes hold the same
-// membership either way.
+// are assumed empty, as AddNode leaves them). Rows are sets and the
+// counters their popcounts, so the graph does not depend on the order
+// or the worker count the rows were written with.
 func (g *Graph) FinishBulkEdges() (edges, cleanEdges int) {
 	totDeg, totClean := 0, 0
 	for id := range g.nodes {
@@ -610,8 +565,7 @@ func (g *Graph) FirstEdgePair() (n1, n2 int, ok bool) {
 
 // Merge combines adjacent nodes a and b into a new clique node whose
 // neighbors are the common neighbors of a and b (preserving the clique
-// invariant), then deletes a and b. Members concatenate and the bounding
-// boxes take their union.
+// invariant), then deletes a and b. Members concatenate.
 func (g *Graph) Merge(a, b int) (int, error) {
 	if !g.HasEdge(a, b) {
 		return -1, fmt.Errorf("wcmgraph: merge of non-adjacent %d, %d", a, b)
@@ -627,11 +581,6 @@ func (g *Graph) Merge(a, b int) (int, error) {
 	case nb.HasFF:
 		merged.FF = nb.FF
 	}
-	merged.X = math.Min(na.X, nb.X)
-	merged.Y = math.Min(na.Y, nb.Y)
-	merged.X2 = math.Max(na.X2, nb.X2)
-	merged.Y2 = math.Max(na.Y2, nb.Y2)
-
 	id, err := g.AddNode(merged)
 	if err != nil {
 		return -1, err
@@ -717,17 +666,6 @@ func (g *Graph) Merge(a, b int) (int, error) {
 		n.alive = false
 	}
 	return id, nil
-}
-
-// BBoxUnionDiameter returns the Manhattan diameter of the union of two
-// nodes' bounding boxes — the worst-case wire run between any member of
-// the merged clique and a wrapper cell placed inside the box.
-func BBoxUnionDiameter(a, b *Node) float64 {
-	x1 := math.Min(a.X, b.X)
-	y1 := math.Min(a.Y, b.Y)
-	x2 := math.Max(a.X2, b.X2)
-	y2 := math.Max(a.Y2, b.Y2)
-	return (x2 - x1) + (y2 - y1)
 }
 
 // Cliques returns the live nodes — after partitioning completes, each is

@@ -6,6 +6,35 @@ import (
 	"testing/quick"
 )
 
+// edge is one edge of a test graph; overlap marks overlap quality.
+type edge struct {
+	a, b    int
+	overlap bool
+}
+
+// clean and overlapped build test edges.
+func clean(a, b int) edge      { return edge{a: a, b: b} }
+func overlapped(a, b int) edge { return edge{a: a, b: b, overlap: true} }
+
+// loadEdges loads an edge list into a graph whose nodes are all added,
+// through the one bulk path (BulkRows, then FinishBulkEdges). Self-loops
+// and repeated pairs are skipped; a repeated pair keeps its first quality.
+func loadEdges(g *Graph, edges []edge) {
+	for _, e := range edges {
+		if e.a == e.b || g.HasEdge(e.a, e.b) {
+			continue
+		}
+		for _, p := range [2][2]int{{e.a, e.b}, {e.b, e.a}} {
+			adj, cl := g.BulkRows(p[0])
+			adj[p[1]>>6] |= 1 << (uint(p[1]) & 63)
+			if !e.overlap {
+				cl[p[1]>>6] |= 1 << (uint(p[1]) & 63)
+			}
+		}
+	}
+	g.FinishBulkEdges()
+}
+
 func TestAddNodesAndEdges(t *testing.T) {
 	g := New(4)
 	ids := make([]int, 4)
@@ -16,10 +45,12 @@ func TestAddNodesAndEdges(t *testing.T) {
 		}
 		ids[i] = id
 	}
-	g.AddEdge(ids[0], ids[1])
-	g.AddEdge(ids[1], ids[2])
-	g.AddEdge(ids[0], ids[1]) // idempotent
-	g.AddEdge(ids[0], ids[0]) // self-loop rejected
+	loadEdges(g, []edge{
+		clean(ids[0], ids[1]),
+		clean(ids[1], ids[2]),
+		clean(ids[0], ids[1]), // repeated pair skipped
+		clean(ids[0], ids[0]), // self-loop skipped
+	})
 	if g.NumEdges() != 2 {
 		t.Errorf("edges = %d, want 2", g.NumEdges())
 	}
@@ -46,10 +77,7 @@ func TestMinDegreePair(t *testing.T) {
 	c, _ := g.AddNode(Node{})
 	d, _ := g.AddNode(Node{})
 	// a-b, b-c, c-d, b-d: degrees a=1 b=3 c=2 d=2.
-	g.AddEdge(a, b)
-	g.AddEdge(b, c)
-	g.AddEdge(c, d)
-	g.AddEdge(b, d)
+	loadEdges(g, []edge{clean(a, b), clean(b, c), clean(c, d), clean(b, d)})
 	n1, n2, ok := g.MinDegreePair()
 	if !ok {
 		t.Fatal("expected a pair")
@@ -72,14 +100,11 @@ func TestMergeKeepsCliqueInvariant(t *testing.T) {
 	// Triangle a-b-c plus pendant a-d. Merging a,b must keep only c (the
 	// common neighbor); d drops away.
 	g := New(4)
-	a, _ := g.AddNode(Node{HasFF: true, FF: 7, X: 0, Y: 0})
-	b, _ := g.AddNode(Node{Members: []int32{5}, X: 2, Y: 2})
+	a, _ := g.AddNode(Node{HasFF: true, FF: 7})
+	b, _ := g.AddNode(Node{Members: []int32{5}})
 	c, _ := g.AddNode(Node{Members: []int32{6}})
 	d, _ := g.AddNode(Node{Members: []int32{9}})
-	g.AddEdge(a, b)
-	g.AddEdge(b, c)
-	g.AddEdge(a, c)
-	g.AddEdge(a, d)
+	loadEdges(g, []edge{clean(a, b), clean(b, c), clean(a, c), clean(a, d)})
 	m, err := g.Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +112,6 @@ func TestMergeKeepsCliqueInvariant(t *testing.T) {
 	mn := g.Node(m)
 	if !mn.HasFF || mn.FF != 7 {
 		t.Error("merged node must inherit the flip-flop")
-	}
-	if mn.X != 0 || mn.Y != 0 || mn.X2 != 2 || mn.Y2 != 2 {
-		t.Errorf("merged bbox = (%v,%v)-(%v,%v), want (0,0)-(2,2)", mn.X, mn.Y, mn.X2, mn.Y2)
 	}
 	if len(mn.Members) != 1 || mn.Members[0] != 5 {
 		t.Errorf("Members = %v, want [5]", mn.Members)
@@ -147,9 +169,11 @@ func TestRandomMergeInvariants(t *testing.T) {
 		for i := range ids {
 			ids[i], _ = g.AddNode(Node{})
 		}
-		for i := 0; i < n*3; i++ {
-			g.AddEdge(ids[rng.Intn(n)], ids[rng.Intn(n)])
+		edges := make([]edge, n*3)
+		for i := range edges {
+			edges[i] = clean(ids[rng.Intn(n)], ids[rng.Intn(n)])
 		}
+		loadEdges(g, edges)
 		for step := 0; step < 20; step++ {
 			n1, n2, ok := g.MinDegreePair()
 			if !ok {
@@ -204,8 +228,7 @@ func TestOverlapEdgesConsumedLast(t *testing.T) {
 	a, _ := g.AddNode(Node{})
 	b, _ := g.AddNode(Node{})
 	c, _ := g.AddNode(Node{})
-	g.AddEdge(a, b)
-	g.AddOverlapEdge(a, c)
+	loadEdges(g, []edge{clean(a, b), overlapped(a, c)})
 	n1, n2, ok := g.MinDegreePair()
 	if !ok {
 		t.Fatal("expected a pair")
@@ -238,9 +261,7 @@ func TestMergePreservesOverlapQuality(t *testing.T) {
 	a, _ := g.AddNode(Node{})
 	b, _ := g.AddNode(Node{})
 	x, _ := g.AddNode(Node{})
-	g.AddEdge(a, b)
-	g.AddEdge(a, x)
-	g.AddOverlapEdge(b, x)
+	loadEdges(g, []edge{clean(a, b), clean(a, x), overlapped(b, x)})
 	m, err := g.Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +281,7 @@ func TestFFLastSelection(t *testing.T) {
 	ff, _ := g.AddNode(Node{HasFF: true, FF: 1})
 	t1, _ := g.AddNode(Node{Members: []int32{0}})
 	t2, _ := g.AddNode(Node{Members: []int32{1}})
-	g.AddEdge(ff, t1)
-	g.AddEdge(t1, t2)
+	loadEdges(g, []edge{clean(ff, t1), clean(t1, t2)})
 	n1, n2, ok := g.MinDegreePair()
 	if !ok {
 		t.Fatal("expected a pair")
@@ -276,7 +296,7 @@ func TestFirstEdgePair(t *testing.T) {
 	a, _ := g.AddNode(Node{})
 	b, _ := g.AddNode(Node{})
 	c, _ := g.AddNode(Node{})
-	g.AddEdge(b, c)
+	loadEdges(g, []edge{clean(b, c)})
 	_ = a
 	n1, n2, ok := g.FirstEdgePair()
 	if !ok || (n1 != b && n1 != c) || n1 == n2 {
@@ -284,27 +304,8 @@ func TestFirstEdgePair(t *testing.T) {
 	}
 }
 
-func TestBBoxUnion(t *testing.T) {
-	g := New(2)
-	a, _ := g.AddNode(Node{X: 0, Y: 0})
-	b, _ := g.AddNode(Node{X: 30, Y: 40})
-	if d := BBoxUnionDiameter(g.Node(a), g.Node(b)); d != 70 {
-		t.Errorf("diameter = %v, want 70", d)
-	}
-	g.AddEdge(a, b)
-	m, err := g.Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mn := g.Node(m)
-	if mn.X != 0 || mn.Y != 0 || mn.X2 != 30 || mn.Y2 != 40 {
-		t.Errorf("merged bbox = (%v,%v)-(%v,%v)", mn.X, mn.Y, mn.X2, mn.Y2)
-	}
-}
-
 // TestQuickMergeMonotonics: random merge sequences preserve the structural
-// invariants: member counts are conserved into the merged clique and
-// bounding boxes only grow.
+// invariant that member counts are conserved into the merged clique.
 func TestQuickMergeMonotonics(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -314,14 +315,15 @@ func TestQuickMergeMonotonics(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m := []int32{int32(i)}
 			totalMembers++
-			x, y := rng.Float64()*100, rng.Float64()*100
-			if _, err := g.AddNode(Node{Members: m, X: x, Y: y, X2: x, Y2: y}); err != nil {
+			if _, err := g.AddNode(Node{Members: m}); err != nil {
 				return false
 			}
 		}
-		for i := 0; i < n*2; i++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
+		edges := make([]edge, n*2)
+		for i := range edges {
+			edges[i] = clean(rng.Intn(n), rng.Intn(n))
 		}
+		loadEdges(g, edges)
 		for {
 			a, b, ok := g.MinDegreePair()
 			if !ok {
@@ -329,16 +331,11 @@ func TestQuickMergeMonotonics(t *testing.T) {
 			}
 			na, nb := g.Node(a), g.Node(b)
 			wantMembers := len(na.Members) + len(nb.Members)
-			diam := BBoxUnionDiameter(na, nb)
 			m, err := g.Merge(a, b)
 			if err != nil {
 				return false
 			}
-			mn := g.Node(m)
-			if len(mn.Members) != wantMembers {
-				return false
-			}
-			if (mn.X2-mn.X)+(mn.Y2-mn.Y) != diam {
+			if len(g.Node(m).Members) != wantMembers {
 				return false
 			}
 		}
