@@ -20,17 +20,30 @@ func TestRunCustom(t *testing.T) {
 }
 
 func TestRunSuiteToDir(t *testing.T) {
-	if testing.Short() {
-		t.Skip("writes the full 24-die suite")
-	}
 	dir := t.TempDir()
-	if err := run("", true, dir, 1, 0, 0, 0, 0, true); err != nil {
+	if err := run("", true, dir, 1, 0, 0, 0, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	// -stats mode prints rather than writes; write mode needs a second
-	// call without stats for one small profile instead (full suite is
-	// slow) — covered by TestRunProfileWrite below.
-	_ = dir
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 24 {
+		t.Fatalf("wrote %d dies, want the 24 Table II dies", len(entries))
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "b18_Die1.bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "TSV_IN(") {
+		t.Error("written die lacks TSV pads")
+	}
+}
+
+func TestRunSuiteStats(t *testing.T) {
+	if err := run("", true, "", 1, 0, 0, 0, 0, true); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRunProfileWrite(t *testing.T) {

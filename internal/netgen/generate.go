@@ -275,13 +275,16 @@ func Generate(p Profile, seed int64) (*netlist.Netlist, error) {
 	// a deconstant rewire may orphan a signal, a splice may correlate
 	// one — so run the pair twice; the second round is a no-op almost
 	// always.
-	clusterOf := make(map[netlist.SignalID]int)
+	clusterOf := make([]int32, n.NumGates())
+	for i := range clusterOf {
+		clusterOf[i] = -1
+	}
 	for ci, c := range clusters {
 		for _, g := range c.gates {
-			clusterOf[g] = ci
+			clusterOf[g] = int32(ci)
 		}
 		for _, src := range c.sources {
-			clusterOf[src] = ci
+			clusterOf[src] = int32(ci)
 		}
 	}
 	for round := 0; round < 2; round++ {
@@ -308,7 +311,9 @@ func Generate(p Profile, seed int64) (*netlist.Netlist, error) {
 // keeps the gate fully sensitive to its existing inputs); other n-ary
 // gates serve as fallback, with the deconstant pass cleaning up any
 // correlation they introduce.
-func spliceDanglers(n *netlist.Netlist, rng *rand.Rand, clusterOf map[netlist.SignalID]int) error {
+//
+// clusterOf maps each gate and source to its cluster, -1 for none.
+func spliceDanglers(n *netlist.Netlist, rng *rand.Rand, clusterOf []int32) error {
 	fanouts := n.Fanouts()
 
 	// Observability: backward reachability from FF D pins and ports.
@@ -378,16 +383,36 @@ func spliceDanglers(n *netlist.Netlist, rng *rand.Rand, clusterOf map[netlist.Si
 	rng.Shuffle(len(xorTargets), func(i, j int) { xorTargets[i], xorTargets[j] = xorTargets[j], xorTargets[i] })
 	rng.Shuffle(len(otherTargets), func(i, j int) { otherTargets[i], otherTargets[j] = otherTargets[j], otherTargets[i] })
 
-	for _, root := range roots {
-		cone := n.FaninCone(root)
-		rc, rcOK := clusterOf[root]
-		try := func(tid netlist.SignalID, localOnly bool) bool {
-			if localOnly && rcOK {
-				if tc, ok := clusterOf[tid]; !ok || tc != rc {
-					return false
+	// cone[s] == k+1 marks s as inside roots[k]'s fan-in cone. The walk
+	// reads the Gate structs, so it sees the pins earlier splices appended
+	// without rebuilding the derived fanouts and levels after every
+	// AppendFanin. It stops where Netlist.FaninCone stops: at sources and
+	// at flip-flops other than the root.
+	cone := make([]int32, n.NumGates())
+	var stack []netlist.SignalID
+	for k, root := range roots {
+		mark := int32(k + 1)
+		cone[root] = mark
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			s := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if t := n.TypeOf(s); t.IsSource() || (t == netlist.GateDFF && s != root) {
+				continue
+			}
+			for _, f := range n.Gate(s).Fanin {
+				if cone[f] != mark {
+					cone[f] = mark
+					stack = append(stack, f)
 				}
 			}
-			if len(n.Gate(tid).Fanin) >= maxPins || cone.Has(tid) || contains(n.Gate(tid).Fanin, root) {
+		}
+		rc := clusterOf[root]
+		try := func(tid netlist.SignalID, localOnly bool) bool {
+			if localOnly && rc >= 0 && clusterOf[tid] != rc {
+				return false
+			}
+			if len(n.Gate(tid).Fanin) >= maxPins || cone[tid] == mark || contains(n.Gate(tid).Fanin, root) {
 				return false
 			}
 			return n.AppendFanin(tid, root) == nil
@@ -543,7 +568,10 @@ type generator struct {
 	rng      *rand.Rand
 	clusters []*clusterState
 
-	ancestors map[netlist.SignalID][]netlist.SignalID
+	ancestors [][]netlist.SignalID // by SignalID; nil for sources
+	ancSeen   []int32              // recordAncestors' visited stamps, by SignalID
+	ancEpoch  int32
+	ancBuf    []netlist.SignalID // recordAncestors' scratch
 }
 
 // ancCap truncates the approximate ancestor sets used to reject
@@ -551,26 +579,21 @@ type generator struct {
 const ancCap = 256
 
 func (g *generator) related(a, b netlist.SignalID) bool {
-	for _, x := range g.ancestors[a] {
-		if x == b {
-			return true
-		}
+	return contains(g.ancestorsOf(a), b) || contains(g.ancestorsOf(b), a)
+}
+
+// ancestorsOf returns x's truncated ancestor set; sources have none.
+func (g *generator) ancestorsOf(x netlist.SignalID) []netlist.SignalID {
+	if int(x) < len(g.ancestors) {
+		return g.ancestors[x]
 	}
-	for _, x := range g.ancestors[b] {
-		if x == a {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // buildCluster generates one cluster's layered fabric.
 func (g *generator) buildCluster(ci int, gateNo *int) error {
 	c := g.clusters[ci]
 	rng := g.rng
-	if g.ancestors == nil {
-		g.ancestors = make(map[netlist.SignalID][]netlist.SignalID)
-	}
 	c.pool = append(c.pool, c.sources...)
 	c.pool = append(c.pool, c.imports...)
 	rng.Shuffle(len(c.pool), func(i, j int) { c.pool[i], c.pool[j] = c.pool[j], c.pool[i] })
@@ -721,13 +744,19 @@ func (g *generator) buildCluster(ci int, gateNo *int) error {
 }
 
 func (g *generator) recordAncestors(gid netlist.SignalID, fanin []netlist.SignalID) {
-	anc := make([]netlist.SignalID, 0, ancCap)
-	seen := make(map[netlist.SignalID]struct{}, ancCap)
+	// ancSeen[x] == ancEpoch marks x as already collected for this gate.
+	// Each gate gets a new epoch, so the stamps are never cleared.
+	for len(g.ancSeen) <= int(gid) {
+		g.ancSeen = append(g.ancSeen, 0)
+		g.ancestors = append(g.ancestors, nil)
+	}
+	g.ancEpoch++
+	anc := g.ancBuf[:0]
 	add := func(x netlist.SignalID) {
-		if _, ok := seen[x]; ok || len(anc) >= ancCap {
+		if g.ancSeen[x] == g.ancEpoch || len(anc) >= ancCap {
 			return
 		}
-		seen[x] = struct{}{}
+		g.ancSeen[x] = g.ancEpoch
 		anc = append(anc, x)
 	}
 	for _, f := range fanin {
@@ -738,7 +767,8 @@ func (g *generator) recordAncestors(gid netlist.SignalID, fanin []netlist.Signal
 			add(x)
 		}
 	}
-	g.ancestors[gid] = anc
+	g.ancBuf = anc
+	g.ancestors[gid] = append([]netlist.SignalID(nil), anc...)
 }
 
 // deconstant finds combinational gates whose output never toggles across a
@@ -757,31 +787,33 @@ func deconstant(n *netlist.Netlist, rng *rand.Rand) error {
 	if len(srcs) == 0 {
 		return nil
 	}
+	// Each sweep simulates 96 random patterns packed 64 to a word: bit
+	// p%64 of word p/64 of a signal holds pattern p. tailMask keeps the
+	// unused high bits of the second word out of the toggle test.
 	const patterns = 96
+	const words = 2
+	const tailMask = 1<<(patterns-64) - 1
+	vals := make([]uint64, words*n.NumGates())
 	for sweep := 0; sweep < 4; sweep++ {
-		seen0 := make([]bool, n.NumGates())
-		seen1 := make([]bool, n.NumGates())
-		assign := make(map[netlist.SignalID]bool, len(srcs))
+		clear(vals)
 		for p := 0; p < patterns; p++ {
 			for _, s := range srcs {
-				assign[s] = rng.Intn(2) == 1
-			}
-			vals, err := n.Evaluate(assign)
-			if err != nil {
-				return fmt.Errorf("netgen: deconstant sim: %w", err)
-			}
-			for i, v := range vals {
-				if v {
-					seen1[i] = true
-				} else {
-					seen0[i] = true
+				if rng.Intn(2) == 1 {
+					vals[words*int(s)+p/64] |= 1 << (p % 64)
 				}
 			}
 		}
+		evalWords(n, vals, words)
 		fixed := 0
 		for i := range n.Gates {
 			id := netlist.SignalID(i)
-			if !n.TypeOf(id).IsCombinational() || (seen0[i] && seen1[i]) {
+			if !n.TypeOf(id).IsCombinational() {
+				continue
+			}
+			lo, hi := vals[words*i], vals[words*i+1]
+			seen1 := lo|hi&tailMask != 0
+			seen0 := ^lo|^hi&tailMask != 0
+			if seen0 && seen1 {
 				continue
 			}
 			g := n.Gate(id)
@@ -802,4 +834,65 @@ func deconstant(n *netlist.Netlist, rng *rand.Rand) error {
 		}
 	}
 	return nil
+}
+
+// evalWords runs a two-valued simulation of 64·w patterns at once. vals
+// holds w words per signal, signal id at vals[w·id : w·id+w], and bit b of
+// word k is pattern 64k+b. Source words (primary inputs, inbound TSV pads,
+// flip-flop outputs) are read as the caller set them, constants are
+// implied, and every combinational gate is written in topological order.
+// Netlist.Evaluate is the one-pattern reference model for it;
+// faultsim.GoodSim does not fit here because it treats inbound TSV pads as
+// X, while deconstant drives them.
+func evalWords(n *netlist.Netlist, vals []uint64, w int) {
+	for _, id := range n.TopoOrder() {
+		g := n.Gate(id)
+		out := vals[w*int(id) : w*int(id)+w]
+		switch g.Type {
+		case netlist.GateInput, netlist.GateTSVIn, netlist.GateDFF:
+		case netlist.GateConst0:
+			clear(out)
+		case netlist.GateConst1:
+			for k := range out {
+				out[k] = ^uint64(0)
+			}
+		default:
+			for k := range out {
+				out[k] = gateWord(g.Type, g.Fanin, vals, w, k)
+			}
+		}
+	}
+}
+
+// gateWord evaluates one combinational gate on word k of its fanin.
+func gateWord(t netlist.GateType, fanin []netlist.SignalID, vals []uint64, w, k int) uint64 {
+	in := func(i int) uint64 { return vals[w*int(fanin[i])+k] }
+	var v uint64
+	switch t {
+	case netlist.GateBuf:
+		v = in(0)
+	case netlist.GateNot:
+		v = ^in(0)
+	case netlist.GateAnd, netlist.GateNand:
+		v = ^uint64(0)
+		for i := range fanin {
+			v &= in(i)
+		}
+	case netlist.GateOr, netlist.GateNor:
+		for i := range fanin {
+			v |= in(i)
+		}
+	case netlist.GateXor, netlist.GateXnor:
+		for i := range fanin {
+			v ^= in(i)
+		}
+	case netlist.GateMux2:
+		// fanin order: (sel, a, b); sel=0 -> a, sel=1 -> b.
+		v = ^in(0)&in(1) | in(0)&in(2)
+	}
+	switch t {
+	case netlist.GateNand, netlist.GateNor, netlist.GateXnor:
+		v = ^v
+	}
+	return v
 }

@@ -72,9 +72,6 @@ func TestGenerateMatchesProfileExactly(t *testing.T) {
 }
 
 func TestGenerateLargeDie(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large die generation in -short mode")
-	}
 	p := Profile{Circuit: "b18", Die: 1, ScanFFs: 1033, Gates: 26698,
 		InboundTSVs: 1561, OutboundTSVs: 1875, PIs: 9, POs: 8}
 	n, err := Generate(p, 7)

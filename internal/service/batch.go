@@ -261,7 +261,7 @@ func (s *Service) Batches() []BatchStatus {
 		bs = append(bs, b)
 	}
 	s.mu.Unlock()
-	sort.Slice(bs, func(a, b int) bool { return seqLess(bs[a].id, bs[b].id) })
+	sort.Slice(bs, func(a, b int) bool { return SeqLess(bs[a].id, bs[b].id) })
 	out := make([]BatchStatus, 0, len(bs))
 	for _, b := range bs {
 		out = append(out, s.batchStatus(b))
@@ -465,7 +465,7 @@ func (s *Service) recoverBatches(recs []RecoveredBatch) (requeued, restored int)
 		if _, dup := s.batches[r.ID]; dup || r.ID == "" {
 			continue
 		}
-		if n := jobSeq(r.ID); n > s.seq {
+		if n := IDSeq(r.ID); n > s.seq {
 			s.seq = n
 		}
 		b, err := func() (*batchRun, error) {
@@ -569,7 +569,7 @@ func (s *Service) gcBatchesLocked(now time.Time) {
 		if !fa.finished.Equal(*fb.finished) {
 			return fa.finished.Before(*fb.finished)
 		}
-		return seqLess(fa.id, fb.id)
+		return SeqLess(fa.id, fb.id)
 	})
 	for _, b := range finished[:n] {
 		delete(s.batches, b.id)

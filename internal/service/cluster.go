@@ -86,7 +86,7 @@ func (s *Service) StealQueued(max int, thief string) []StolenJob {
 			queued = append(queued, j)
 		}
 	}
-	sort.Slice(queued, func(a, b int) bool { return seqLess(queued[a].id, queued[b].id) })
+	sort.Slice(queued, func(a, b int) bool { return SeqLess(queued[a].id, queued[b].id) })
 	if len(queued) > max {
 		queued = queued[:max]
 	}
@@ -159,7 +159,7 @@ func (s *Service) ReclaimStolen(thief string) int {
 	if len(feed) == 0 {
 		return 0
 	}
-	sort.Slice(feed, func(a, b int) bool { return seqLess(feed[a].id, feed[b].id) })
+	sort.Slice(feed, func(a, b int) bool { return SeqLess(feed[a].id, feed[b].id) })
 	s.logf("wcmd: cluster: reclaimed %d job(s) from dead peer %s", len(feed), thief)
 	go s.feedRecovered(feed)
 	return len(feed)

@@ -87,9 +87,10 @@ type Recovery struct {
 	Corrupted int
 }
 
-// jobSeq extracts the numeric suffix of a "j-%06d" job id (-1 if the id
-// does not carry one).
-func jobSeq(id string) int {
+// IDSeq extracts the numeric suffix of a "j-%06d" job or "b-%06d" batch
+// id (-1 if the id does not carry one). Jobs and batches share one
+// sequence counter, so the suffix orders both.
+func IDSeq(id string) int {
 	i := strings.LastIndexByte(id, '-')
 	if i < 0 {
 		return -1
@@ -101,11 +102,12 @@ func jobSeq(id string) int {
 	return n
 }
 
-// seqLess orders job and batch ids by their numeric sequence, then by the
+// SeqLess orders job and batch ids by their numeric sequence, then by the
 // id itself. Ids are zero-padded to six digits only, so past j-999999 the
-// string order would put newer ids before older ones.
-func seqLess(a, b string) bool {
-	if sa, sb := jobSeq(a), jobSeq(b); sa != sb {
+// string order would put newer ids before older ones. The service and the
+// write-ahead log's replay both order ids with it.
+func SeqLess(a, b string) bool {
+	if sa, sb := IDSeq(a), IDSeq(b); sa != sb {
 		return sa < sb
 	}
 	return a < b
@@ -131,7 +133,7 @@ func (s *Service) Recover(rec Recovery) (requeued, restored int, err error) {
 		if _, dup := s.jobs[r.ID]; dup || r.ID == "" {
 			continue
 		}
-		if n := jobSeq(r.ID); n > s.seq {
+		if n := IDSeq(r.ID); n > s.seq {
 			s.seq = n
 		}
 		j, rerr := func() (*job, error) {

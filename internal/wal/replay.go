@@ -184,36 +184,19 @@ func (l *Log) replayLocked() (map[string]*jobState, map[string]*batchState, int,
 			corrupted++
 		}
 	}
+	// Batches share the service's sequence counter with jobs, so both
+	// feed one watermark.
 	for id := range jobs {
-		if n := jobSeq(id); n > maxSeq {
+		if n := service.IDSeq(id); n > maxSeq {
 			maxSeq = n
 		}
 	}
 	for id := range batches {
-		if n := batchSeq(id); n > maxSeq {
+		if n := service.IDSeq(id); n > maxSeq {
 			maxSeq = n
 		}
 	}
 	return jobs, batches, maxSeq, corrupted, nil
-}
-
-// jobSeq mirrors the service's id numbering ("j-%06d") for watermarking.
-func jobSeq(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "j-%d", &n); err != nil || n < 0 {
-		return -1
-	}
-	return n
-}
-
-// batchSeq mirrors batch id numbering ("b-%06d"); batches share the
-// service's sequence counter with jobs, so both feed one watermark.
-func batchSeq(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "b-%d", &n); err != nil || n < 0 {
-		return -1
-	}
-	return n
 }
 
 // Compact rewrites the log keeping only live jobs — unfinished ones and
@@ -249,7 +232,7 @@ func (l *Log) compactLocked(now time.Time) (service.Recovery, error) {
 	for id := range jobs {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	sort.Slice(ids, func(a, b int) bool { return service.SeqLess(ids[a], ids[b]) })
 	var live []*jobState
 	for _, id := range ids {
 		js := jobs[id]
@@ -267,7 +250,7 @@ func (l *Log) compactLocked(now time.Time) (service.Recovery, error) {
 	for id := range batches {
 		bids = append(bids, id)
 	}
-	sort.Strings(bids)
+	sort.Slice(bids, func(a, b int) bool { return service.SeqLess(bids[a], bids[b]) })
 	var liveBatches []*batchState
 	for _, id := range bids {
 		bs := batches[id]

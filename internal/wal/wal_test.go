@@ -232,3 +232,51 @@ func logBytes(t *testing.T, dir string) int64 {
 	}
 	return total
 }
+
+// TestReplayOrdersIDsPastSixDigits: ids are zero-padded to six digits, so
+// past j-999999 their string order is not their submission order. Replay
+// and compaction must hand jobs and batches back in sequence order, which
+// is the order the service re-queues them in.
+func TestReplayOrdersIDsPastSixDigits(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, dir, Options{})
+	breq := service.BatchRequest{Circuit: "b11", Seed: 1}
+	// Jobs and batches share one sequence counter.
+	for _, n := range []int{999997, 999999, 1000001, 1000003} {
+		if err := l.Submit(jid(n), reqFor("b11/0")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.SubmitBatch(fmt.Sprintf("b-%06d", n+1), breq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantJobs := []string{"j-999997", "j-999999", "j-1000001", "j-1000003"}
+	wantBatches := []string{"b-999998", "b-1000000", "b-1000002", "b-1000004"}
+	// The first reopen replays the raw segment and compacts it; the second
+	// replays the compacted segment.
+	for pass := 0; pass < 2; pass++ {
+		l, rec := openTest(t, dir, Options{})
+		var jobs, batches []string
+		for _, j := range rec.Jobs {
+			jobs = append(jobs, j.ID)
+		}
+		for _, b := range rec.Batches {
+			batches = append(batches, b.ID)
+		}
+		if fmt.Sprint(jobs) != fmt.Sprint(wantJobs) {
+			t.Errorf("pass %d: job replay order %v, want %v", pass, jobs, wantJobs)
+		}
+		if fmt.Sprint(batches) != fmt.Sprint(wantBatches) {
+			t.Errorf("pass %d: batch replay order %v, want %v", pass, batches, wantBatches)
+		}
+		if rec.MaxSeq != 1000004 {
+			t.Errorf("pass %d: MaxSeq = %d, want 1000004", pass, rec.MaxSeq)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
